@@ -385,153 +385,7 @@ fn bench_serve(args: &Args, data: &Dataset) {
         ("speedup", jnum(speedup)),
         ("identical", identical.to_string()),
     ]);
-    fields.extend(bench_fronts(args));
     write_report(args, "serve", &fields);
-}
-
-/// The serve phase's second half: threads-vs-reactor connection-front A/B
-/// under the `emod-load` open-loop generator at a connection count far
-/// beyond the worker pool. The threads front parks one worker per live
-/// connection, so at 256 connections on 8 workers all but 8 drivers
-/// starve and their requests surface as transport errors after the client
-/// timeout; the reactor front multiplexes every connection onto the same
-/// 8 workers. Reported: sustained ok-rate and open-loop p99 per front,
-/// plus the reactor/threads rate ratio — the number the roadmap's
-/// "thousands of connections" item is judged by.
-fn bench_fronts(args: &Args) -> Vec<(&'static str, String)> {
-    use emod_load::{build_schedule, quantiles_ms, Arrival, CommandMix, LoadConfig, Tally};
-    use emod_serve::artifact::{ArtifactMeta, ModelArtifact};
-    use emod_serve::coalesce::CoalesceCfg;
-    use emod_serve::registry::ModelRegistry;
-    use emod_serve::server::{Front, Server};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    println!("== serve: threads vs reactor front under open-loop load ==");
-    // A cheap linear artifact behind the "gzip" workload selector, so the
-    // per-request cost is the protocol, not the model.
-    let space = design_space();
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED + 5);
-    let raw = lhs(&space, 40, &mut rng);
-    let xs: Vec<Vec<f64>> = raw.iter().map(|p| space.encode(p)).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| 5000.0 + x.iter().sum::<f64>()).collect();
-    let train = Dataset::new(xs.clone(), ys.clone()).expect("fronts train set");
-    std::env::set_var(emod_par::THREADS_ENV, "1");
-    let model = SurrogateModel::fit(&train, ModelFamily::Linear).expect("linear fit");
-    std::env::remove_var(emod_par::THREADS_ENV);
-    let art = ModelArtifact {
-        meta: ArtifactMeta {
-            workload: "gzip".into(),
-            input_set: "train".into(),
-            metric: "cycles".into(),
-            family: ModelFamily::Linear,
-            scale: "quick".into(),
-            seed: BENCH_SEED,
-            train_mape: 0.1,
-            test_mape: 0.2,
-            train_size: xs.len(),
-            test_size: 10,
-        },
-        space: design_space(),
-        model,
-        quality: emod_quality::DesignSummary::from_design(&train),
-        train: train.clone(),
-        test: Dataset::new(xs[..10].to_vec(), ys[..10].to_vec()).expect("fronts test set"),
-        history: vec![(xs.len(), 0.2)],
-    };
-    let dir = args.out.join("bench-fronts-registry");
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let registry =
-            ModelRegistry::open(&dir).unwrap_or_else(|e| die(&format!("registry: {}", e)));
-        registry
-            .store(&art)
-            .unwrap_or_else(|e| die(&format!("store artifact: {}", e)));
-    }
-
-    let connections = 256usize;
-    let workers = 8usize;
-    let rate = if args.quick { 800.0 } else { 1200.0 };
-    let duration_s = if args.quick { 1.5 } else { 3.0 };
-
-    // (sustained ok/s, open-loop p99 ms, ok count, scheduled requests)
-    let run_front = |front: Front| -> (f64, f64, u64, usize) {
-        let registry = Arc::new(
-            ModelRegistry::open(&dir).unwrap_or_else(|e| die(&format!("registry: {}", e))),
-        );
-        let mut server = Server::bind(Arc::clone(&registry), "127.0.0.1:0", workers)
-            .unwrap_or_else(|e| die(&format!("bind: {}", e)))
-            .with_front(front);
-        if matches!(front, Front::Reactor) {
-            server = server.with_coalesce(Some(CoalesceCfg {
-                window: Duration::from_micros(500),
-                max_batch: 64,
-            }));
-        }
-        let addr = server
-            .local_addr()
-            .unwrap_or_else(|e| die(&format!("local_addr: {}", e)));
-        let stop = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run());
-        let cfg = LoadConfig {
-            addr: addr.to_string(),
-            rate,
-            duration_s,
-            connections,
-            seed: BENCH_SEED,
-            arrival: Arrival::Fixed,
-            mix: CommandMix::default(), // pure single-point predict
-            workload: "gzip".to_string(),
-            batch: 8,
-            // Starved connections must fail fast, not wedge the run.
-            timeout_s: 0.25,
-            bench_label: "serve_fronts".to_string(),
-        };
-        let schedule = build_schedule(&cfg);
-        let result = emod_load::run(&cfg, &schedule);
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        handle
-            .join()
-            .expect("server thread")
-            .unwrap_or_else(|e| die(&format!("server run: {}", e)));
-        let tally = Tally::of(&result.samples);
-        let latency: Vec<f64> = result.samples.iter().map(|s| s.latency_us).collect();
-        let p99 = quantiles_ms(&latency).map(|q| q.p99).unwrap_or(f64::NAN);
-        let ok_rate = tally.ok as f64 / result.wall_s.max(1e-9);
-        (ok_rate, p99, tally.ok, schedule.len())
-    };
-
-    let (threads_rate, threads_p99, threads_ok, scheduled) = run_front(Front::Threads);
-    let (reactor_rate, reactor_p99, reactor_ok, _) = run_front(Front::Reactor);
-    let improvement = reactor_rate / threads_rate.max(1e-9);
-    println!(
-        "  {} conns on {} workers, {} scheduled  threads {:.0} ok/s (p99 {:.1}ms, {}/{} ok)  \
-         reactor {:.0} ok/s (p99 {:.1}ms, {}/{} ok)  rate improvement {:.1}x",
-        connections,
-        workers,
-        scheduled,
-        threads_rate,
-        threads_p99,
-        threads_ok,
-        scheduled,
-        reactor_rate,
-        reactor_p99,
-        reactor_ok,
-        scheduled,
-        improvement
-    );
-    vec![
-        ("fronts_connections", connections.to_string()),
-        ("fronts_workers", workers.to_string()),
-        ("fronts_scheduled", scheduled.to_string()),
-        ("threads_front_ok", threads_ok.to_string()),
-        ("threads_front_ok_per_sec", jnum(threads_rate)),
-        ("threads_front_p99_ms", jnum(threads_p99)),
-        ("reactor_front_ok", reactor_ok.to_string()),
-        ("reactor_front_ok_per_sec", jnum(reactor_rate)),
-        ("reactor_front_p99_ms", jnum(reactor_p99)),
-        ("fronts_rate_improvement", jnum(improvement)),
-    ]
 }
 
 /// Design points sweeping three machine axes around the paper's "typical"

@@ -65,8 +65,6 @@ pub fn metric_direction(metric: &str) -> Option<Direction> {
         "mape",
         "error_rate",
         "overload_rate",
-        "threads_front_p99",
-        "reactor_front_p99",
     ];
     const HIGHER: &[&str] = &[
         "speedup",
@@ -74,11 +72,6 @@ pub fn metric_direction(metric: &str) -> Option<Direction> {
         "minst_per_sec",
         "throughput_rps",
         "sim_reduction",
-        // Serve-phase connection-front A/B: ok counts/rates per front and
-        // the reactor/threads sustained-rate ratio.
-        "threads_front_ok",
-        "reactor_front_ok",
-        "fronts_rate_improvement",
     ];
     // Prefix match so variants like `wall_s_par` / `mape_tiered` /
     // `predictions_per_sec_seq` inherit their base metric's direction.

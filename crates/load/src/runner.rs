@@ -11,10 +11,9 @@
 //! a closed-loop harness would silently stop sending while stalled and
 //! report only the rosy in-service time.
 //!
-//! The server parks one worker thread per live connection, so keep
-//! [`LoadConfig::connections`] at or below the server's `--workers` count;
-//! beyond that, surplus drivers starve and their requests surface as
-//! transport errors after [`LoadConfig::timeout_s`].
+//! [`LoadConfig::connections`] may exceed the server's `--workers` count:
+//! idle connections hold no server thread, and a request that waits for a
+//! free handler carries the wait in its latency.
 
 use crate::schedule::{CommandKind, LoadConfig, ScheduledRequest};
 use emod_serve::{Client, Json, RetryPolicy};

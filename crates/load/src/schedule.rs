@@ -185,10 +185,9 @@ pub struct LoadConfig {
     pub workload: String,
     /// Points per `predict_batch` request.
     pub batch: usize,
-    /// Per-request socket timeout, seconds. The server parks one worker per
-    /// live connection, so a run with more connections than server workers
-    /// starves some drivers — the timeout turns that into transport errors
-    /// in the report instead of a wedged run. Not part of the schedule.
+    /// Per-request socket timeout, seconds. A server that stops answering
+    /// turns into transport errors in the report instead of a wedged run.
+    /// Not part of the schedule.
     pub timeout_s: f64,
     /// The `"bench"` label stamped on reports and history lines
     /// (`--bench-label`). Distinct labels keep scenario runs — e.g. the CI

@@ -1,6 +1,6 @@
 //! Incremental codecs for newline-delimited protocols over nonblocking
 //! sockets: bytes arrive and depart in arbitrary fragments, so both
-//! directions need explicit buffering the blocking front got for free
+//! directions need explicit buffering that blocking I/O gets for free
 //! from `BufReader` + `writeln!`.
 
 use std::collections::VecDeque;

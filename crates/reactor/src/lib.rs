@@ -20,7 +20,7 @@
 //!
 //! The event loop itself lives in `emod-serve` (`reactor_front`); this
 //! crate stays protocol-agnostic below the "lines in, bytes out" level so
-//! it can be unit-tested with socket pairs and reused by other fronts.
+//! it can be unit-tested with socket pairs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_op_in_unsafe_fn)]

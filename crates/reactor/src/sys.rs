@@ -1,7 +1,7 @@
 //! Platform readiness backends. Linux gets real `epoll(7)` via raw
 //! `extern "C"` declarations (no libc crate — the workspace is
-//! zero-dependency); other targets get a stub that fails at construction
-//! so the serving front can fall back to the threads front cleanly.
+//! zero-dependency); other targets get a stub that fails at construction,
+//! so `emod-serve` refuses to start there with an `Unsupported` error.
 
 #[cfg(target_os = "linux")]
 pub use linux::EpollPoller;
@@ -185,8 +185,8 @@ mod fallback {
     use std::time::Duration;
 
     /// Stub poller for targets without an epoll backend. Construction
-    /// fails, so callers (the serving front) fall back to the threads
-    /// front instead of silently not polling.
+    /// fails with `Unsupported`, so the server's startup fails with that
+    /// error instead of silently not polling.
     #[derive(Debug)]
     pub struct EpollPoller {
         _private: (),

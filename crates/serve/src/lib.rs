@@ -8,28 +8,23 @@
 //!   measured designs + provenance) that predicts bit-identically after a
 //!   round trip. [`registry::ModelRegistry`] is a directory of artifacts
 //!   keyed by id, rooted at `EMOD_REGISTRY` (default `./registry`).
-//! * **Serving** — [`server::Server`] is a `std::net`/`std::thread` TCP
-//!   server speaking newline-delimited JSON ([`json::Json`]) with commands
-//!   `list_models`, `predict`, `predict_batch`, `tune`, `stats`,
-//!   `rollout`/`promote`/`rollback`/`refresh` and `shutdown`.
+//! * **Serving** — [`server::Server`] is a TCP server speaking
+//!   newline-delimited JSON ([`json::Json`]) with commands `list_models`,
+//!   `predict`, `predict_batch`, `tune`, `stats`,
+//!   `rollout`/`promote`/`rollback`/`refresh` and `shutdown`. Its
+//!   connection front ([`reactor_front`], built on `emod-reactor`, DESIGN.md
+//!   §16) is one epoll event loop that multiplexes every connection onto
+//!   `--workers` handler threads and answers each connection's requests
+//!   in order. epoll makes the server Linux only.
 //! * **Closed loop** — [`rollout`] is the canaried rollout state machine
 //!   over refresh-produced artifact versions, and [`refresh`] measures
 //!   enqueued design points, retrains, and publishes candidates the state
 //!   machine then canaries, promotes, or rolls back.
-//!
-//! The server offers two connection fronts selected by `EMOD_SERVE_FRONT`
-//! (DESIGN.md §16): the default blocking thread-per-connection pool, and
-//! a readiness reactor ([`reactor_front`], built on `emod-reactor`) that
-//! multiplexes thousands of connections onto `EMOD_REACTOR_WORKERS`
-//! handler threads with [`coalesce`]d predict batching and
-//! `EMOD_MODEL_REPLICAS` sharded artifact-cache replicas. Responses are
-//! byte-identical between fronts.
 
 #![warn(missing_docs)]
 
 pub mod artifact;
 pub mod client;
-pub mod coalesce;
 pub mod codecs;
 pub mod json;
 pub mod reactor_front;
@@ -41,9 +36,8 @@ pub mod slo;
 
 pub use artifact::{ArtifactError, ArtifactMeta, ModelArtifact, FORMAT_VERSION};
 pub use client::{Client, RetryPolicy};
-pub use coalesce::CoalesceCfg;
 pub use json::Json;
-pub use registry::{GcReport, ModelRegistry, ReplicaHint, REGISTRY_ENV, REPLICAS_ENV};
+pub use registry::{GcReport, ModelRegistry, REGISTRY_ENV};
 pub use rollout::{RolloutConfig, RolloutPhase, RolloutState};
-pub use server::{Front, Server, FRONT_ENV};
+pub use server::Server;
 pub use slo::{SloConfig, SloSnapshot, SloTracker};

@@ -2,12 +2,13 @@
 //! `--client`.
 //!
 //! ```text
-//! emod-serve [--addr HOST:PORT] [--registry DIR] [--workers N] [--front threads|reactor]
+//! emod-serve [--addr HOST:PORT] [--registry DIR] [--workers N]
 //! emod-serve --client [--addr HOST:PORT] [--retries N] '<json request>' [...]
 //! ```
 //!
-//! `--front` overrides `EMOD_SERVE_FRONT` (default `threads`); see
-//! DESIGN.md §16 for the reactor front.
+//! The server runs one epoll event loop over every connection and
+//! `--workers` (default 4) request-handler threads behind it; see
+//! DESIGN.md §16. It needs Linux.
 //!
 //! In client mode each argument is sent as one request line and the response
 //! line is printed to stdout; the exit code is nonzero if any response does
@@ -17,7 +18,7 @@
 use emod_serve::client::Client;
 use emod_serve::json::Json;
 use emod_serve::registry::ModelRegistry;
-use emod_serve::server::{self, Front, Server, DEFAULT_ADDR};
+use emod_serve::server::{self, Server, DEFAULT_ADDR};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -26,7 +27,6 @@ fn main() -> ExitCode {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut registry_root: Option<String> = None;
     let mut workers = 4usize;
-    let mut front: Option<Front> = None;
     let mut client = false;
     let mut retries = 3u32;
     let mut requests: Vec<String> = Vec::new();
@@ -55,17 +55,6 @@ fn main() -> ExitCode {
                     i += 1;
                 }
                 None => return usage("--workers needs a positive integer"),
-            },
-            "--front" => match args.get(i + 1).map(|f| f.as_str()) {
-                Some("threads") => {
-                    front = Some(Front::Threads);
-                    i += 1;
-                }
-                Some("reactor") => {
-                    front = Some(Front::Reactor);
-                    i += 1;
-                }
-                _ => return usage("--front needs 'threads' or 'reactor'"),
             },
             "--retries" => match args.get(i + 1).and_then(|r| r.parse().ok()) {
                 Some(r) => {
@@ -96,7 +85,7 @@ fn main() -> ExitCode {
     if client {
         run_client(&addr, retries, &requests)
     } else if requests.is_empty() {
-        run_server(&addr, registry_root.as_deref(), workers, front)
+        run_server(&addr, registry_root.as_deref(), workers)
     } else {
         usage("positional arguments are only valid with --client")
     }
@@ -106,9 +95,7 @@ fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {}", error);
     }
-    eprintln!(
-        "usage: emod-serve [--addr HOST:PORT] [--registry DIR] [--workers N] [--front threads|reactor]"
-    );
+    eprintln!("usage: emod-serve [--addr HOST:PORT] [--registry DIR] [--workers N]");
     eprintln!("       emod-serve --client [--addr HOST:PORT] [--retries N] '<json request>' [...]");
     eprintln!("       emod-serve --version");
     if error.is_empty() {
@@ -118,12 +105,7 @@ fn usage(error: &str) -> ExitCode {
     }
 }
 
-fn run_server(
-    addr: &str,
-    registry_root: Option<&str>,
-    workers: usize,
-    front: Option<Front>,
-) -> ExitCode {
+fn run_server(addr: &str, registry_root: Option<&str>, workers: usize) -> ExitCode {
     emod_telemetry::init_from_env();
     let registry = match registry_root {
         Some(root) => ModelRegistry::open(root),
@@ -137,23 +119,19 @@ fn run_server(
         }
     };
     server::install_signal_handlers();
-    let mut srv = match Server::bind(registry.clone(), addr, workers) {
+    let srv = match Server::bind(registry.clone(), addr, workers) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: bind {}: {}", addr, e);
             return ExitCode::FAILURE;
         }
     };
-    if let Some(front) = front {
-        srv = srv.with_front(front);
-    }
     match srv.local_addr() {
         Ok(local) => eprintln!(
-            "emod-serve listening on {} (registry {}, {} workers, {} front)",
+            "emod-serve listening on {} (registry {}, {} workers)",
             local,
             registry.root().display(),
-            workers,
-            srv.front().name()
+            workers
         ),
         Err(e) => eprintln!("emod-serve listening (addr unknown: {})", e),
     }

@@ -1,41 +1,25 @@
-//! The readiness-reactor connection front (DESIGN.md §16).
+//! The server's connection front: one epoll event loop (DESIGN.md §16).
 //!
 //! One event-loop thread owns every connection: a nonblocking listener
 //! and all client sockets are registered with an [`emod_reactor::Poller`]
-//! (epoll on Linux), incoming bytes are decoded into request lines by
+//! (epoll; Linux only), incoming bytes are decoded into request lines by
 //! [`emod_reactor::LineBuffer`], and complete requests are dispatched
-//! over an mpsc channel to `EMOD_REACTOR_WORKERS` handler threads that
-//! run the exact same request pipeline as the threads front
-//! (`handle_request_full` — admission gate, fault probes, deadline,
-//! quality scoring, access log all included). Completed responses flow
-//! back through a shared completion queue, a [`emod_reactor::Waker`]
-//! interrupts the poll, and the event loop writes each connection's
-//! responses out **in request order** (a per-connection sequence number
-//! reorders whatever the workers finished first).
+//! over an mpsc channel to the server's `--workers` handler threads,
+//! which run the request pipeline (`handle_request_full` — admission
+//! gate, fault probes, deadline, quality scoring, access log). Completed
+//! responses flow back through a shared completion queue, a
+//! [`emod_reactor::Waker`] interrupts the poll, and the event loop writes
+//! each connection's responses out **in request order** (a
+//! per-connection sequence number reorders whatever the workers finished
+//! first) from a per-connection [`emod_reactor::WriteBuffer`], so a
+//! response line reaches the socket whole, not token by token.
 //!
 //! Because no thread ever parks on a connection, thousands of mostly-idle
-//! clients cost one registration each instead of one blocked worker each
-//! — the threads front serves at most `--workers` connections at a time,
-//! this front serves all of them with the same worker count. Responses
-//! are byte-identical between fronts (asserted by CI's `reactor-smoke`
-//! A/B run); only scheduling, fairness, and throughput differ.
-//!
-//! Single-point `predict` requests additionally pass through the
-//! [`crate::coalesce`] window when `EMOD_COALESCE_WINDOW_US` is set:
-//! requests that resolve to the same `(base, version)` within the window
-//! are evaluated as one `emod-par`-sharded batch, then each request
-//! finishes its own pipeline with the precomputed value. Each connection
-//! also carries a replica selector (an FNV hash of its connection id)
-//! that spreads artifact-cache reads across `EMOD_MODEL_REPLICAS` shards
-//! ([`crate::registry::ReplicaHint`]).
+//! clients cost one registration each; `--workers` bounds concurrent
+//! requests, not concurrent connections.
 
-use crate::coalesce::Coalescer;
 use crate::json::Json;
-use crate::registry::ReplicaHint;
-use crate::server::{
-    coalesce_classify, coalesce_predict_values, handle_request_full, Server, ServerState,
-    MAX_LINE_BYTES,
-};
+use crate::server::{handle_request_full, Server, ServerState, MAX_LINE_BYTES};
 use emod_reactor::{Interest, LineBuffer, Poller, Token, Waker, WriteBuffer};
 use emod_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
@@ -47,10 +31,6 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Environment variable sizing the reactor's handler-thread pool;
-/// defaults to the server's `--workers` count.
-pub const WORKERS_ENV: &str = "EMOD_REACTOR_WORKERS";
-
 /// Poller token of the accept socket.
 const LISTENER_TOKEN: Token = 0;
 /// Poller token of the completion waker.
@@ -59,47 +39,25 @@ const WAKER_TOKEN: Token = 1;
 const FIRST_CONN_TOKEN: Token = 2;
 
 /// Upper bound on requests one connection may have in flight before the
-/// event loop stops reading from it (resumes at half). The threads front
-/// gets this backpressure for free from its synchronous read loop; the
-/// reactor needs it so a pipelining client cannot queue unbounded work.
+/// event loop stops reading from it (resumes at half), so a pipelining
+/// client cannot queue unbounded work.
 const MAX_PIPELINE: u64 = 128;
 
-/// Baseline poll timeout when no coalescing deadline is nearer.
+/// Poll timeout: how often the loop checks for shutdown when idle.
 const POLL_MS: u64 = 20;
 
 /// How long the shutdown drain waits for in-flight requests and queued
 /// response bytes before abandoning them.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// A single-predict request parked in a coalescing window.
-struct Pending {
+/// One request line dispatched to a handler thread.
+struct Job {
     token: Token,
     seq: u64,
     conn_id: String,
-    replica: u64,
     line: String,
-    raw: Vec<f64>,
+    /// When the event loop read the line: latency and deadline start here.
     arrived: Instant,
-}
-
-/// Work dispatched to a handler thread.
-enum Job {
-    /// One request, the non-coalesced path.
-    Single {
-        token: Token,
-        seq: u64,
-        conn_id: String,
-        replica: u64,
-        line: String,
-        arrived: Instant,
-    },
-    /// A flushed coalescing group: batch-evaluate, then run each request's
-    /// pipeline with its precomputed value.
-    Batch {
-        base: String,
-        version: u64,
-        items: Vec<Pending>,
-    },
 }
 
 /// A finished response headed back to the event loop.
@@ -117,10 +75,9 @@ struct Conn {
     /// The poller token this connection is registered under.
     token: Token,
     conn_id: String,
-    replica: u64,
     lines: LineBuffer,
     out: WriteBuffer,
-    /// Completed responses waiting for their turn ( responses are written
+    /// Completed responses waiting for their turn (responses are written
     /// strictly in request order even when workers finish out of order).
     ready: BTreeMap<u64, (Vec<u8>, bool)>,
     next_seq: u64,
@@ -139,12 +96,10 @@ struct Conn {
 
 impl Conn {
     fn new(stream: TcpStream, token: Token, conn_id: String) -> Conn {
-        let replica = fnv1a(conn_id.as_bytes());
         Conn {
             stream,
             token,
             conn_id,
-            replica,
             lines: LineBuffer::new(MAX_LINE_BYTES as usize),
             out: WriteBuffer::new(),
             ready: BTreeMap::new(),
@@ -167,82 +122,17 @@ impl Conn {
     }
 }
 
-/// 64-bit FNV-1a — the connection-id hash that picks a cache replica.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn workers_from_env(default: usize) -> usize {
-    std::env::var(WORKERS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-        .max(1)
-}
-
-/// Runs one job on a handler thread, returning the completions to post.
-fn run_job(state: &ServerState, job: Job) -> Vec<Done> {
-    match job {
-        Job::Single {
-            token,
-            seq,
-            conn_id,
-            replica,
-            line,
-            arrived,
-        } => {
-            let queue_wait_ms = arrived.elapsed().as_secs_f64() * 1e3;
-            telemetry::observe("serve.queue_wait_ms", queue_wait_ms);
-            let _replica = ReplicaHint::select(replica);
-            let (resp, close) =
-                handle_request_full(state, &conn_id, &line, queue_wait_ms, arrived, None);
-            vec![Done {
-                token,
-                seq,
-                bytes: response_bytes(&resp),
-                close,
-            }]
-        }
-        Job::Batch {
-            base,
-            version,
-            items,
-        } => {
-            let raws: Vec<Vec<f64>> = items.iter().map(|p| p.raw.clone()).collect();
-            // One sharded evaluation for the whole group; a load failure
-            // degrades to per-request dispatch (the pipeline reports it).
-            let values = coalesce_predict_values(state, &base, version, &raws);
-            items
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let queue_wait_ms = p.arrived.elapsed().as_secs_f64() * 1e3;
-                    telemetry::observe("serve.queue_wait_ms", queue_wait_ms);
-                    let precomputed = values.as_ref().map(|v| (version, v[i]));
-                    let _replica = ReplicaHint::select(p.replica);
-                    let (resp, close) = handle_request_full(
-                        state,
-                        &p.conn_id,
-                        &p.line,
-                        queue_wait_ms,
-                        p.arrived,
-                        precomputed,
-                    );
-                    Done {
-                        token: p.token,
-                        seq: p.seq,
-                        bytes: response_bytes(&resp),
-                        close,
-                    }
-                })
-                .collect()
-        }
+/// Runs one request on a handler thread.
+fn run_job(state: &ServerState, job: Job) -> Done {
+    let queue_wait_ms = job.arrived.elapsed().as_secs_f64() * 1e3;
+    telemetry::observe("serve.queue_wait_ms", queue_wait_ms);
+    let (resp, close) =
+        handle_request_full(state, &job.conn_id, &job.line, queue_wait_ms, job.arrived);
+    Done {
+        token: job.token,
+        seq: job.seq,
+        bytes: response_bytes(&resp),
+        close,
     }
 }
 
@@ -266,80 +156,36 @@ fn worker_loop(
         match next {
             Ok(job) => {
                 let finished = run_job(state, job);
-                telemetry::lock_or_recover(done).extend(finished);
+                telemetry::lock_or_recover(done).push(finished);
                 waker.wake();
             }
-            // Unlike the threads front, a drain keeps consuming: queued
-            // jobs still get their refusal responses. Workers exit when
-            // the event loop drops the sender.
+            // A drain keeps consuming: queued jobs still get their refusal
+            // responses. Workers exit when the event loop drops the sender.
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
-/// Sends a flushed coalescing group to the workers.
-fn send_flush(tx: &mpsc::Sender<Job>, flush: crate::coalesce::Flush<Pending>) {
-    let _ = tx.send(Job::Batch {
-        base: flush.base,
-        version: flush.version,
-        items: flush.items,
-    });
-}
-
-/// Classifies and dispatches one complete request line.
-fn dispatch_line(
-    state: &ServerState,
-    coalescer: &mut Option<Coalescer<Pending>>,
-    tx: &mpsc::Sender<Job>,
-    conn: &mut Conn,
-    line: String,
-    now: Instant,
-) {
+/// Numbers one complete request line and dispatches it to the workers.
+fn dispatch_line(tx: &mpsc::Sender<Job>, conn: &mut Conn, line: String) {
     let seq = conn.next_seq;
     conn.next_seq += 1;
     conn.inflight += 1;
     conn.requests += 1;
-    if let Some(c) = coalescer {
-        let _replica = ReplicaHint::select(conn.replica);
-        if let Ok(parsed) = Json::parse(&line) {
-            if let Some(target) = coalesce_classify(state, &parsed) {
-                let item = Pending {
-                    token: conn.token,
-                    seq,
-                    conn_id: conn.conn_id.clone(),
-                    replica: conn.replica,
-                    line,
-                    raw: target.raw,
-                    arrived: now,
-                };
-                if let Some(full) = c.offer(target.base, target.version, item, now) {
-                    send_flush(tx, full);
-                }
-                return;
-            }
-        }
-    }
-    let _ = tx.send(Job::Single {
+    let _ = tx.send(Job {
         token: conn.token,
         seq,
         conn_id: conn.conn_id.clone(),
-        replica: conn.replica,
         line,
-        arrived: now,
+        arrived: Instant::now(),
     });
 }
 
 /// Reads whatever the socket holds (bounded per wakeup), extracts
 /// complete lines, and dispatches them. Returns `false` when the
 /// connection died mid-read.
-fn read_and_dispatch(
-    state: &ServerState,
-    poller: &mut impl Poller,
-    coalescer: &mut Option<Coalescer<Pending>>,
-    tx: &mpsc::Sender<Job>,
-    conn: &mut Conn,
-) -> bool {
+fn read_and_dispatch(poller: &mut impl Poller, tx: &mpsc::Sender<Job>, conn: &mut Conn) -> bool {
     // Bound bytes consumed per wakeup: level-triggered polling re-reports
     // a still-readable socket, so fairness across connections costs
     // nothing but another loop iteration.
@@ -353,18 +199,12 @@ fn read_and_dispatch(
             Err(_) => return false,
         }
     }
-    extract_lines(state, poller, coalescer, tx, conn)
+    extract_lines(poller, tx, conn)
 }
 
 /// Pulls complete lines out of the connection's read buffer, honoring the
 /// pipeline bound. Also called on unpause (buffered lines, no new bytes).
-fn extract_lines(
-    state: &ServerState,
-    poller: &mut impl Poller,
-    coalescer: &mut Option<Coalescer<Pending>>,
-    tx: &mpsc::Sender<Job>,
-    conn: &mut Conn,
-) -> bool {
+fn extract_lines(poller: &mut impl Poller, tx: &mpsc::Sender<Job>, conn: &mut Conn) -> bool {
     loop {
         if conn.closing {
             return true;
@@ -382,12 +222,12 @@ fn extract_lines(
                 if request.is_empty() {
                     continue;
                 }
-                dispatch_line(state, coalescer, tx, conn, request, Instant::now());
+                dispatch_line(tx, conn, request);
             }
             Ok(None) => return true,
             Err(emod_reactor::LineError::TooLong { buffered }) => {
-                // Same reply and telemetry as the threads front, then the
-                // connection closes once the response is written.
+                // Answer with a structured refusal, then close once the
+                // response is written.
                 telemetry::counter_add("serve.requests.too_large", 1);
                 telemetry::event(
                     "serve",
@@ -416,8 +256,8 @@ fn pump_writes(poller: &mut impl Poller, conn: &mut Conn) -> bool {
         conn.next_write += 1;
         conn.out.push(&bytes);
         if close {
-            // The threads front stops reading after a closing response;
-            // any later pipelined requests go unanswered there too.
+            // Reading stops after a closing response; later pipelined
+            // requests go unanswered.
             conn.closing = true;
             conn.eof = true;
             break;
@@ -462,14 +302,13 @@ fn close_conn(poller: &mut impl Poller, conns: &mut HashMap<Token, Conn>, token:
     }
 }
 
-/// Runs the reactor front until shutdown. Called by [`Server::run`] when
-/// `EMOD_SERVE_FRONT=reactor` (or [`Server::with_front`]) selected it.
+/// Runs the event loop until shutdown. Called by [`Server::run`].
 ///
 /// # Errors
 ///
 /// Propagates poller construction/registration failures (including
-/// `Unsupported` on non-Linux targets — use the threads front there) and
-/// fatal accept-loop errors, matching the threads front's contract.
+/// `Unsupported` on non-Linux targets, where the server cannot start) and
+/// fatal accept errors.
 pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
     let mut poller = emod_reactor::default_poller()?;
     server.listener.set_nonblocking(true)?;
@@ -477,7 +316,7 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
     poller.register(server.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
     poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
 
-    let workers = workers_from_env(server.workers);
+    let workers = server.workers;
     telemetry::gauge_set("serve.reactor.workers", workers as f64);
     let (tx, rx) = mpsc::channel::<Job>();
     let rx = Arc::new(Mutex::new(rx));
@@ -498,21 +337,13 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
         handles.push(h);
     }
 
-    let mut coalescer: Option<Coalescer<Pending>> = server.coalesce.map(Coalescer::new);
     let mut conns: HashMap<Token, Conn> = HashMap::new();
     let mut next_token: Token = FIRST_CONN_TOKEN;
     let mut events = Vec::new();
 
     loop {
-        // Sleep until readiness, a completion wake, or the nearest
-        // coalescing-window deadline — whichever comes first.
-        let mut timeout = Duration::from_millis(POLL_MS);
-        if let Some(c) = &coalescer {
-            if let Some(deadline) = c.next_deadline() {
-                timeout = timeout.min(deadline.saturating_duration_since(Instant::now()));
-            }
-        }
-        poller.poll(&mut events, Some(timeout))?;
+        // Sleep until readiness or a completion wake.
+        poller.poll(&mut events, Some(Duration::from_millis(POLL_MS)))?;
 
         let drained = std::mem::take(&mut events);
         for ev in &drained {
@@ -533,7 +364,6 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
                                 &[
                                     ("conn", conn_id.as_str().into()),
                                     ("peer", peer.to_string().as_str().into()),
-                                    ("queue_wait_ms", 0.0.into()),
                                 ],
                             );
                             let conn = Conn::new(stream, token, conn_id);
@@ -559,13 +389,7 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
                         Some(conn) => {
                             let mut alive = true;
                             if ev.readable || ev.hangup {
-                                alive = read_and_dispatch(
-                                    &state,
-                                    &mut poller,
-                                    &mut coalescer,
-                                    &tx,
-                                    conn,
-                                );
+                                alive = read_and_dispatch(&mut poller, &tx, conn);
                             }
                             if alive {
                                 alive = pump_writes(&mut poller, conn);
@@ -581,15 +405,6 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
             }
         }
         events = drained;
-
-        // Flush coalescing windows whose deadline passed.
-        if let Some(c) = &mut coalescer {
-            let now = Instant::now();
-            for flush in c.due(now) {
-                send_flush(&tx, flush);
-            }
-            telemetry::gauge_set("serve.coalesce.pending", c.pending() as f64);
-        }
 
         // Route finished responses back to their connections, in order.
         let finished = std::mem::take(&mut *telemetry::lock_or_recover(&done));
@@ -611,7 +426,7 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
                         conn.paused = false;
                         let _ =
                             poller.reregister(conn.stream.as_raw_fd(), conn.token, conn.interest());
-                        alive = extract_lines(&state, &mut poller, &mut coalescer, &tx, conn);
+                        alive = extract_lines(&mut poller, &tx, conn);
                         if alive {
                             alive = pump_writes(&mut poller, conn);
                         }
@@ -639,14 +454,9 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
         }
     }
 
-    // Graceful drain: stop accepting, flush every open coalescing window,
-    // then give in-flight requests a bounded grace to answer and flush.
+    // Graceful drain: stop accepting, then give in-flight requests a
+    // bounded grace to answer and flush.
     let _ = poller.deregister(server.listener.as_raw_fd());
-    if let Some(c) = &mut coalescer {
-        for flush in c.drain_all() {
-            send_flush(&tx, flush);
-        }
-    }
     drop(tx);
     let deadline = Instant::now() + DRAIN_GRACE;
     while Instant::now() < deadline {

@@ -27,69 +27,12 @@ use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::rollout::RolloutState;
 use emod_faults as faults;
 use emod_telemetry as telemetry;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 /// Environment variable naming the registry root directory.
 pub const REGISTRY_ENV: &str = "EMOD_REGISTRY";
-
-/// Environment variable setting how many read-only cache replicas each
-/// artifact gets (default 1). With N > 1, loads are spread across N
-/// independent shard locks by [`ReplicaHint`], so a hot model's readers
-/// never serialize behind a single cache entry's lock (DESIGN.md §16).
-pub const REPLICAS_ENV: &str = "EMOD_MODEL_REPLICAS";
-
-/// Hard cap on cache replicas — each replica decodes its own copy of
-/// every artifact it serves, so this bounds worst-case memory at
-/// `MAX_REPLICAS ×` the single-cache footprint.
-pub const MAX_REPLICAS: usize = 64;
-
-/// Replica count from `EMOD_MODEL_REPLICAS`, clamped to
-/// `1..=`[`MAX_REPLICAS`].
-pub fn replicas_from_env() -> usize {
-    std::env::var(REPLICAS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, MAX_REPLICAS)
-}
-
-thread_local! {
-    /// Which cache replica loads on this thread prefer. Set per request by
-    /// the serving fronts from a connection hash; 0 (the default) keeps
-    /// single-shard behavior for every other caller.
-    static REPLICA_HINT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Scoped replica selector: while the guard lives, artifact loads on this
-/// thread read through cache replica `selector % replicas`. Dropping the
-/// guard restores the previous selection, so nested scopes compose.
-///
-/// The hint is thread-local rather than a parameter because the load path
-/// threads through a dozen handler helpers (`resolve_model`,
-/// `select_serving`, sibling scoring, …) that should not all grow a
-/// replica argument for what is purely a cache-placement concern.
-#[derive(Debug)]
-pub struct ReplicaHint {
-    prev: u64,
-}
-
-impl ReplicaHint {
-    /// Selects the replica for this thread until the guard drops.
-    pub fn select(selector: u64) -> ReplicaHint {
-        let prev = REPLICA_HINT.with(|c| c.replace(selector));
-        ReplicaHint { prev }
-    }
-}
-
-impl Drop for ReplicaHint {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        REPLICA_HINT.with(|c| c.set(prev));
-    }
-}
 
 /// Default registry root when `EMOD_REGISTRY` is unset.
 pub const DEFAULT_ROOT: &str = "./registry";
@@ -138,22 +81,14 @@ pub struct GcReport {
 }
 
 /// A directory of persisted model artifacts with an in-process load cache.
-///
-/// The cache is split into `EMOD_MODEL_REPLICAS` independent shards; each
-/// shard lazily decodes its own read-only copy of an artifact on first
-/// access, and [`ReplicaHint`] (set per connection by the serving fronts)
-/// picks which shard a thread reads through. Mutating operations —
-/// republish, quarantine, gc — invalidate every shard so no replica can
-/// serve a superseded artifact.
 #[derive(Debug)]
 pub struct ModelRegistry {
     root: PathBuf,
-    shards: Vec<RwLock<HashMap<String, Arc<ModelArtifact>>>>,
+    cache: RwLock<HashMap<String, Arc<ModelArtifact>>>,
 }
 
 impl ModelRegistry {
-    /// Opens (creating if needed) a registry rooted at `root`, with the
-    /// cache replica count from `EMOD_MODEL_REPLICAS`.
+    /// Opens (creating if needed) a registry rooted at `root`.
     ///
     /// # Errors
     ///
@@ -162,38 +97,10 @@ impl ModelRegistry {
         let root = root.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| ArtifactError::Io(format!("create {}: {}", root.display(), e)))?;
-        let replicas = replicas_from_env();
         Ok(ModelRegistry {
             root,
-            shards: (0..replicas).map(|_| RwLock::new(HashMap::new())).collect(),
+            cache: RwLock::new(HashMap::new()),
         })
-    }
-
-    /// Overrides the cache replica count (tests; production uses
-    /// `EMOD_MODEL_REPLICAS`). Clamped to `1..=`[`MAX_REPLICAS`]. Existing
-    /// cached entries are discarded.
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        let replicas = replicas.clamp(1, MAX_REPLICAS);
-        self.shards = (0..replicas).map(|_| RwLock::new(HashMap::new())).collect();
-        self
-    }
-
-    /// How many cache replicas this registry keeps.
-    pub fn replicas(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The cache shard the current thread's [`ReplicaHint`] selects.
-    fn shard(&self) -> &RwLock<HashMap<String, Arc<ModelArtifact>>> {
-        let hint = REPLICA_HINT.with(Cell::get);
-        &self.shards[(hint % self.shards.len() as u64) as usize]
-    }
-
-    /// Removes `id` from every cache replica (republish/quarantine/gc).
-    fn evict_all(&self, id: &str) {
-        for shard in &self.shards {
-            telemetry::write_or_recover(shard).remove(id);
-        }
     }
 
     /// Opens the registry named by `EMOD_REGISTRY`, defaulting to
@@ -349,12 +256,7 @@ impl ModelRegistry {
                 ),
             }
         }
-        // Republish: every replica must drop any superseded copy before the
-        // current thread's shard caches the fresh one (the others fault the
-        // new bytes in from disk on their next load).
-        self.evict_all(id);
-        telemetry::write_or_recover(self.shard())
-            .insert(id.to_string(), Arc::new(artifact.clone()));
+        telemetry::write_or_recover(&self.cache).insert(id.to_string(), Arc::new(artifact.clone()));
         Ok(path)
     }
 
@@ -367,8 +269,7 @@ impl ModelRegistry {
     /// Returns an [`ArtifactError`] if the file is missing, unreadable or
     /// does not validate.
     pub fn load(&self, id: &str) -> Result<Arc<ModelArtifact>, ArtifactError> {
-        let shard = self.shard();
-        if let Some(hit) = telemetry::read_or_recover(shard).get(id) {
+        if let Some(hit) = telemetry::read_or_recover(&self.cache).get(id) {
             telemetry::counter_add("serve.registry.cache.hits", 1);
             return Ok(Arc::clone(hit));
         }
@@ -390,7 +291,7 @@ impl ModelRegistry {
                 return Err(e);
             }
         };
-        telemetry::write_or_recover(shard).insert(id.to_string(), Arc::clone(&artifact));
+        telemetry::write_or_recover(&self.cache).insert(id.to_string(), Arc::clone(&artifact));
         Ok(artifact)
     }
 
@@ -591,7 +492,7 @@ impl ModelRegistry {
                 });
             match decodes {
                 Err(reason) => {
-                    self.evict_all(&id);
+                    telemetry::write_or_recover(&self.cache).remove(&id);
                     match self.quarantine_file(&id, &path, &reason) {
                         Ok(()) => {
                             telemetry::counter_add("serve.registry.gc_removed", 1);
@@ -609,7 +510,7 @@ impl ModelRegistry {
                         None => false,
                     };
                     if stale {
-                        self.evict_all(&id);
+                        telemetry::write_or_recover(&self.cache).remove(&id);
                         match std::fs::remove_file(&path) {
                             Ok(()) => {
                                 telemetry::counter_add("serve.registry.gc_pruned", 1);
@@ -844,77 +745,20 @@ mod tests {
     }
 
     #[test]
-    fn replicas_decode_independent_copies() {
+    fn republish_replaces_the_cached_artifact() {
         let (dir, reg) = temp_registry();
-        let reg = reg.with_replicas(3);
-        assert_eq!(reg.replicas(), 3);
-        let art = artifact(20);
-        reg.store(&art).unwrap();
-        // Same replica → same Arc (cache hit); different replica → an
-        // independently decoded copy with equal content.
-        let (a, a2, b) = {
-            let _h = ReplicaHint::select(0);
-            let a = reg.load(&art.id()).unwrap();
-            let a2 = reg.load(&art.id()).unwrap();
-            let _h2 = ReplicaHint::select(1);
-            let b = reg.load(&art.id()).unwrap();
-            (a, a2, b)
-        };
-        assert!(Arc::ptr_eq(&a, &a2));
-        assert!(!Arc::ptr_eq(&a, &b), "replicas hold independent copies");
-        assert_eq!(a.meta, b.meta);
-        // Selectors wrap around the replica count.
-        let _h = ReplicaHint::select(3);
-        let c = reg.load(&art.id()).unwrap();
-        assert!(Arc::ptr_eq(&a, &c), "selector 3 % 3 lands on replica 0");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn republish_invalidates_every_replica() {
-        let (dir, reg) = temp_registry();
-        let reg = reg.with_replicas(2);
         let mut art = artifact(21);
         reg.store(&art).unwrap();
-        // Warm both replicas with the seed-21 artifact.
-        for sel in 0..2 {
-            let _h = ReplicaHint::select(sel);
-            assert_eq!(reg.load(&art.id()).unwrap().meta.seed, 21);
-        }
-        // Republish under the same id with different metadata: every
-        // replica must see the new copy, not its warm stale one.
-        let id = art.id();
-        art.meta.seed = 21; // id is seed-derived, keep it stable
+        // Warm the cache with the first copy.
+        assert_eq!(reg.load(&art.id()).unwrap().meta.train_mape, 0.5);
+        // Republish under the same id with different metadata: the next
+        // load must serve the new copy, not the warm stale one.
         art.meta.train_mape = 9.9;
-        reg.store_as(&id, &art).unwrap();
-        for sel in 0..2 {
-            let _h = ReplicaHint::select(sel);
-            let got = reg.load(&id).unwrap();
-            assert_eq!(got.meta.train_mape, 9.9, "replica {} served stale", sel);
-        }
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn replica_hint_guard_restores_previous_selection() {
-        let (dir, reg) = temp_registry();
-        let reg = reg.with_replicas(2);
-        let art = artifact(22);
         reg.store(&art).unwrap();
-        let outer = {
-            let _h = ReplicaHint::select(1);
-            let outer = reg.load(&art.id()).unwrap();
-            {
-                let _inner = ReplicaHint::select(0);
-                let inner = reg.load(&art.id()).unwrap();
-                assert!(!Arc::ptr_eq(&outer, &inner));
-            }
-            // Back on replica 1 after the inner guard dropped.
-            let again = reg.load(&art.id()).unwrap();
-            assert!(Arc::ptr_eq(&outer, &again));
-            outer
-        };
-        drop(outer);
+        assert_eq!(reg.load(&art.id()).unwrap().meta.train_mape, 9.9);
+        // A fresh registry over the same directory decodes the new bytes.
+        let cold = ModelRegistry::open(&dir).unwrap();
+        assert_eq!(cold.load(&art.id()).unwrap().meta.train_mape, 9.9);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

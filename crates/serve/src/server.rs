@@ -1,11 +1,13 @@
 //! Concurrent newline-delimited-JSON prediction/tuning server.
 //!
-//! `std::net` + `std::thread` only: an accept loop dispatches connections
-//! over an mpsc channel to a fixed worker pool. Each request is one JSON
-//! object on one line; each response is one JSON object on one line with an
-//! `"ok"` field. Graceful shutdown on SIGTERM/SIGINT or the `shutdown`
-//! command: the accept loop stops, workers answer any request already on
-//! the wire with a refusal and exit.
+//! [`Server`] binds a TCP listener and runs the epoll event loop of
+//! [`crate::reactor_front`] (Linux only) over it: one thread owns every
+//! connection and hands complete request lines to `--workers` handler
+//! threads. Each request is one JSON object on one line; each response is
+//! one JSON object on one line with an `"ok"` field, written back in
+//! request order. Graceful shutdown on SIGTERM/SIGINT or the `shutdown`
+//! command: the listener closes, requests already read are answered (with
+//! a refusal once the drain has begun), and the handler threads exit.
 //!
 //! Commands: `list_models`, `predict`, `predict_batch`, `explain`, `tune`,
 //! `observe`, `refresh`, `rollout`, `promote`, `rollback`, `stats`,
@@ -20,14 +22,16 @@
 //! `stats` reports per-command latency percentiles; `metrics` renders a
 //! flat text exposition an operator can scrape; requests slower than
 //! `EMOD_SLOW_MS` milliseconds are flagged with a `serve.slow_request`
-//! event and a log line. Accepted connections are timestamped on entry to
-//! the dispatch queue, so time-in-accept-queue (`serve.queue_wait_ms`, the
-//! `serve.queue_depth` gauge, a `queue_wait_ms` access-log field) is
-//! visible separately from handler latency. When `EMOD_SLO_P99_MS` /
-//! `EMOD_SLO_AVAIL` targets are set, a rolling window ([`crate::slo`])
-//! turns recent requests into burn-rate gauges (`serve.slo.*`) and rolling
-//! per-command percentiles (`serve.rolling.*`), surfaced in `stats`,
-//! `health` and the `metrics` exposition.
+//! event and a log line. Each request is timestamped when the event loop
+//! reads it: latency and deadlines count from that instant, and the part
+//! spent waiting for a free handler thread is reported on its own
+//! (`serve.queue_wait_ms`, a `queue_wait_ms` access-log field), next to
+//! the `serve.queue_depth` gauge of requests read but not yet answered.
+//! When `EMOD_SLO_P99_MS` / `EMOD_SLO_AVAIL` targets are set, a rolling
+//! window ([`crate::slo`]) turns recent requests into burn-rate gauges
+//! (`serve.slo.*`) and rolling per-command percentiles
+//! (`serve.rolling.*`), surfaced in `stats`, `health` and the `metrics`
+//! exposition.
 //!
 //! Resilience (see DESIGN.md §10): request lines are capped at
 //! [`MAX_LINE_BYTES`] (`request_too_large`, connection closes); handler
@@ -69,11 +73,10 @@ use emod_models::Regressor;
 use emod_quality::{disagreement, shadow_verdict, PredictionLog, ShadowRing, ShadowVerdict};
 use emod_telemetry as telemetry;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -134,7 +137,6 @@ pub struct ServerState {
     shutdown: Arc<AtomicBool>,
     start: Instant,
     in_flight: AtomicU64,
-    queue_depth: AtomicU64,
     max_inflight: u64,
     deadline_ms: Option<u64>,
     quality: Mutex<QualityState>,
@@ -202,7 +204,6 @@ impl ServerState {
             shutdown,
             start: Instant::now(),
             in_flight: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
             max_inflight,
             deadline_ms,
             quality: Mutex::new(QualityState {
@@ -435,8 +436,8 @@ fn refresh_tick(state: &ServerState, min_points: usize) {
     }
 }
 
-/// Spawns the optional background refresh worker shared by both fronts:
-/// with `EMOD_REFRESH_AUTO` set (and the closed loop enabled), a polling
+/// Spawns the optional background refresh worker: with
+/// `EMOD_REFRESH_AUTO` set (and the closed loop enabled), a polling
 /// thread drains refresh queues that have accumulated
 /// `EMOD_REFRESH_MIN_POINTS` points, running one measure→retrain→canary
 /// cycle per eligible base.
@@ -598,70 +599,23 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-/// Environment variable selecting the connection-handling front:
-/// `threads` (default — the blocking thread-per-connection pool) or
-/// `reactor` (the epoll readiness reactor, DESIGN.md §16). Responses are
-/// byte-identical between fronts; only scheduling differs.
-pub const FRONT_ENV: &str = "EMOD_SERVE_FRONT";
-
-/// Which connection-handling front [`Server::run`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Front {
-    /// Blocking thread-per-connection workers (`--workers` threads); one
-    /// parked worker per in-flight connection.
-    Threads,
-    /// Readiness reactor: one event loop multiplexing every connection,
-    /// `EMOD_REACTOR_WORKERS` handler threads, request coalescing.
-    Reactor,
-}
-
-impl Front {
-    /// Reads `EMOD_SERVE_FRONT`; unknown values fall back to `threads`
-    /// with a warning rather than failing startup.
-    pub fn from_env() -> Front {
-        match std::env::var(FRONT_ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("reactor") => Front::Reactor,
-            Ok(v) if v.trim().eq_ignore_ascii_case("threads") || v.trim().is_empty() => {
-                Front::Threads
-            }
-            Ok(v) => {
-                eprintln!(
-                    "emod-serve: unknown {}={:?}, using the threads front",
-                    FRONT_ENV, v
-                );
-                Front::Threads
-            }
-            Err(_) => Front::Threads,
-        }
-    }
-
-    /// The name the `stats`/startup log reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Front::Threads => "threads",
-            Front::Reactor => "reactor",
-        }
-    }
-}
-
-/// The prediction/tuning server.
+/// The prediction/tuning server: an epoll event loop that owns every
+/// connection, in front of `workers` request-handler threads
+/// ([`crate::reactor_front`], DESIGN.md §16).
 #[derive(Debug)]
 pub struct Server {
     pub(crate) listener: TcpListener,
-    pub(crate) registry: Arc<ModelRegistry>,
+    registry: Arc<ModelRegistry>,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) workers: usize,
-    pub(crate) front: Front,
-    pub(crate) coalesce: Option<crate::coalesce::CoalesceCfg>,
     /// Test override for `EMOD_DEADLINE_MS` (outer `None` = use the env).
     deadline_override: Option<Option<u64>>,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port in tests) serving
-    /// models from `registry` with `workers` handler threads. The front
-    /// comes from `EMOD_SERVE_FRONT`, coalescing from
-    /// `EMOD_COALESCE_WINDOW_US` (reactor front only).
+    /// models from `registry` with `workers` handler threads. The handler
+    /// count bounds concurrent requests, not concurrent connections.
     ///
     /// # Errors
     ///
@@ -675,25 +629,8 @@ impl Server {
             registry,
             shutdown: Arc::new(AtomicBool::new(false)),
             workers: workers.max(1),
-            front: Front::from_env(),
-            coalesce: crate::coalesce::CoalesceCfg::from_env(),
             deadline_override: None,
         })
-    }
-
-    /// Overrides the connection front (tests/bench; production uses
-    /// `EMOD_SERVE_FRONT`).
-    pub fn with_front(mut self, front: Front) -> Server {
-        self.front = front;
-        self
-    }
-
-    /// Overrides the coalescing knobs (tests/bench; production uses
-    /// `EMOD_COALESCE_WINDOW_US` / `EMOD_COALESCE_MAX`). `None` disables
-    /// coalescing. Only the reactor front coalesces.
-    pub fn with_coalesce(mut self, cfg: Option<crate::coalesce::CoalesceCfg>) -> Server {
-        self.coalesce = cfg;
-        self
     }
 
     /// Overrides the per-request deadline (tests; production uses
@@ -701,11 +638,6 @@ impl Server {
     pub fn with_deadline_ms(mut self, ms: Option<u64>) -> Server {
         self.deadline_override = Some(ms);
         self
-    }
-
-    /// The connection front [`Server::run`] will use.
-    pub fn front(&self) -> Front {
-        self.front
     }
 
     /// The bound socket address.
@@ -723,191 +655,20 @@ impl Server {
     }
 
     /// Serves until shutdown is requested (`shutdown` command, the
-    /// [`Server::shutdown_handle`], or SIGTERM/SIGINT), then drains workers
-    /// and returns.
+    /// [`Server::shutdown_handle`], or SIGTERM/SIGINT), then drains
+    /// in-flight requests and returns.
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures other than `WouldBlock`.
+    /// Propagates poller setup failures (`Unsupported` off Linux) and
+    /// accept errors other than `WouldBlock`/`Interrupted`.
     pub fn run(self) -> io::Result<()> {
         let mut state = ServerState::new(Arc::clone(&self.registry), Arc::clone(&self.shutdown));
         if let Some(deadline) = self.deadline_override {
             state = state.with_deadline_ms(deadline);
         }
-        let state = Arc::new(state);
-        telemetry::gauge_set("serve.registry.replicas", self.registry.replicas() as f64);
-        match self.front {
-            Front::Threads => self.run_threads(state),
-            Front::Reactor => crate::reactor_front::run(self, state),
-        }
+        crate::reactor_front::run(self, Arc::new(state))
     }
-
-    /// The blocking thread-per-connection front.
-    fn run_threads(self, state: Arc<ServerState>) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        // Each accepted connection is stamped with its enqueue instant so
-        // the picking worker can report time-in-accept-queue separately
-        // from handler time (the `serve.queue_wait_ms` histogram).
-        let (tx, rx) = mpsc::channel::<(Instant, TcpStream)>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handles = Vec::with_capacity(self.workers);
-        for i in 0..self.workers {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("emod-serve-worker-{}", i))
-                    .spawn(move || worker_loop(&rx, &state))?,
-            );
-        }
-        if let Some(h) = spawn_refresh_worker(&state)? {
-            handles.push(h);
-        }
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst) {
-                self.shutdown.store(true, Ordering::SeqCst);
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    telemetry::counter_add("serve.connections", 1);
-                    let depth = state.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-                    telemetry::gauge_set("serve.queue_depth", depth as f64);
-                    // The only send failure is every worker having exited,
-                    // which implies shutdown.
-                    if tx.send((Instant::now(), stream)).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        drop(tx);
-        for h in handles {
-            let _ = h.join();
-        }
-        Ok(())
-    }
-}
-
-fn worker_loop(rx: &Arc<Mutex<mpsc::Receiver<(Instant, TcpStream)>>>, state: &ServerState) {
-    loop {
-        let next = {
-            // Poison recovery: a panic while holding the receiver must not
-            // wedge every other worker (handler panics are caught per
-            // request, but belt and braces).
-            let guard = telemetry::lock_or_recover(rx);
-            guard.recv_timeout(Duration::from_millis(100))
-        };
-        match next {
-            Ok((enqueued, stream)) => {
-                let depth = state.queue_depth.fetch_sub(1, Ordering::SeqCst) - 1;
-                telemetry::gauge_set("serve.queue_depth", depth as f64);
-                let queue_wait_ms = enqueued.elapsed().as_secs_f64() * 1e3;
-                telemetry::observe("serve.queue_wait_ms", queue_wait_ms);
-                handle_connection(stream, state, queue_wait_ms)
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if state.shutting_down() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, state: &ServerState, queue_wait_ms: f64) {
-    // A finite read timeout lets the worker notice shutdown while a client
-    // keeps the connection open without sending.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".to_string());
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Every connection gets its own id; the per-request access-log events
-    // carry it so an operator can group a session's requests.
-    let conn_id = telemetry::TraceContext::fresh().trace_hex();
-    telemetry::event(
-        "serve",
-        "conn_open",
-        &[
-            ("conn", conn_id.as_str().into()),
-            ("peer", peer.as_str().into()),
-            ("queue_wait_ms", queue_wait_ms.into()),
-        ],
-    );
-    let mut requests = 0u64;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        // Bound each read: the `take` cap limits bytes per call, and the
-        // total-length check below is the authoritative guard (a partial
-        // line kept across read timeouts accumulates in `line`).
-        match (&mut reader).take(MAX_LINE_BYTES + 1).read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if line.len() as u64 > MAX_LINE_BYTES {
-                    telemetry::counter_add("serve.requests.too_large", 1);
-                    telemetry::event(
-                        "serve",
-                        "request_too_large",
-                        &[
-                            ("conn", conn_id.as_str().into()),
-                            ("bytes", line.len().into()),
-                        ],
-                    );
-                    let resp = too_large_response();
-                    let _ = writeln!(writer, "{}", resp);
-                    let _ = writer.flush();
-                    break;
-                }
-                let request = line.trim().to_string();
-                line.clear();
-                if request.is_empty() {
-                    continue;
-                }
-                requests += 1;
-                // Only the first request on a connection inherits the
-                // accept-queue wait — later requests start from an
-                // already-dispatched stream.
-                let wait = if requests == 1 { queue_wait_ms } else { 0.0 };
-                let (response, close) = handle_request_on(state, &conn_id, &request, wait);
-                if writeln!(writer, "{}", response).is_err() || writer.flush().is_err() {
-                    break;
-                }
-                if close {
-                    break;
-                }
-            }
-            // Timeout with a partial line buffered: keep accumulating —
-            // but during a drain, stop waiting for more input.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if state.shutting_down() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    telemetry::event(
-        "serve",
-        "conn_close",
-        &[
-            ("conn", conn_id.as_str().into()),
-            ("requests", requests.into()),
-        ],
-    );
 }
 
 /// An error reply with a machine-readable `code` and a `retryable` hint.
@@ -930,9 +691,7 @@ fn err_response(msg: impl Into<String>) -> Json {
     err_code_response("error", msg, false)
 }
 
-/// The oversized-request refusal both fronts send before closing the
-/// connection — kept in one place so the reactor front stays
-/// byte-identical with the blocking front.
+/// The oversized-request refusal sent before the connection closes.
 pub(crate) fn too_large_response() -> Json {
     err_code_response(
         "request_too_large",
@@ -951,38 +710,19 @@ fn bad_response(msg: impl Into<String>) -> Json {
 /// Handles one request line, returning the response and whether the
 /// connection should close afterwards.
 pub fn handle_request(state: &ServerState, request: &str) -> (Json, bool) {
-    handle_request_on(state, "", request, 0.0)
+    handle_request_full(state, "", request, 0.0, Instant::now())
 }
 
-/// [`handle_request`] with the owning connection's id and accept-queue
-/// wait for the access log.
-fn handle_request_on(
-    state: &ServerState,
-    conn_id: &str,
-    request: &str,
-    queue_wait_ms: f64,
-) -> (Json, bool) {
-    handle_request_full(state, conn_id, request, queue_wait_ms, Instant::now(), None)
-}
-
-/// A single-predict value the coalescer computed ahead of dispatch:
-/// `(version it was computed from, prediction)`. `cmd_predict` only uses
-/// it when the routed serving lane still matches that version — a rollout
-/// flipping between batch compute and dispatch falls back to computing
-/// inline, so responses never mix one lane's value with another's label.
-pub(crate) type Precomputed = (u64, f64);
-
-/// The full request pipeline with the caller-supplied arrival instant
-/// (deadline accounting for requests that waited in a coalescing window
-/// starts at arrival, not at dispatch) and an optional precomputed
-/// single-predict value.
+/// The full request pipeline with the owning connection's id, the time
+/// the request waited for a handler thread, and its arrival instant.
+/// Latency and the deadline both count from arrival, so the dispatch wait
+/// is part of every request's budget.
 pub(crate) fn handle_request_full(
     state: &ServerState,
     conn_id: &str,
     request: &str,
     queue_wait_ms: f64,
     arrived: Instant,
-    precomputed: Option<Precomputed>,
 ) -> (Json, bool) {
     // The whole request is one trace: spans opened by the handler on this
     // thread (GA generations during tune, artifact loads, …) nest under it.
@@ -1038,7 +778,7 @@ pub(crate) fn handle_request_full(
             }
             (resp, false)
         }
-        Ok(parsed) => guarded_dispatch(state, &cmd, &parsed, precomputed),
+        Ok(parsed) => guarded_dispatch(state, &cmd, &parsed),
     };
 
     // Deadline check happens after the handler returns: the work is not
@@ -1071,8 +811,9 @@ pub(crate) fn handle_request_full(
     }
     let status_ok = response.get("ok") == Some(&Json::Bool(true));
     if known {
-        // Handler latency only — queue wait is tracked separately, so the
-        // SLO window measures the server, not the accept backlog.
+        // Latency from arrival, including the wait for a handler thread
+        // (`queue_wait_ms`): the same instant the deadline counts from, so
+        // the SLO window sees what the client saw once its line was read.
         state.record_slo(&cmd, latency_us / 1000.0, status_ok);
     }
     if telemetry::enabled() {
@@ -1146,14 +887,9 @@ pub(crate) fn handle_request_full(
 /// a panicking handler (a model-family bug, an injected `panic` fault)
 /// answers `internal_error` and the worker thread survives to take the
 /// next request.
-fn guarded_dispatch(
-    state: &ServerState,
-    cmd: &str,
-    parsed: &Json,
-    precomputed: Option<Precomputed>,
-) -> (Json, bool) {
+fn guarded_dispatch(state: &ServerState, cmd: &str, parsed: &Json) -> (Json, bool) {
     let attempt = faults::catch_panic(|| {
-        faults::inject("serve.handle").map(|()| dispatch(state, cmd, parsed, precomputed))
+        faults::inject("serve.handle").map(|()| dispatch(state, cmd, parsed))
     });
     match attempt {
         Ok(Ok(result)) => result,
@@ -1197,12 +933,7 @@ fn guarded_dispatch(
 
 /// Routes a parsed request with a known command. During a graceful drain
 /// every command but `shutdown` is refused and the connection closes.
-fn dispatch(
-    state: &ServerState,
-    cmd: &str,
-    parsed: &Json,
-    precomputed: Option<Precomputed>,
-) -> (Json, bool) {
+fn dispatch(state: &ServerState, cmd: &str, parsed: &Json) -> (Json, bool) {
     if state.shutting_down() && cmd != "shutdown" {
         let refusal = if cmd == "health" {
             Json::obj(vec![
@@ -1217,8 +948,8 @@ fn dispatch(
     }
     match cmd {
         "list_models" => (cmd_list_models(&state.registry), false),
-        "predict" => (cmd_predict(state, parsed, false, precomputed), false),
-        "predict_batch" => (cmd_predict(state, parsed, true, None), false),
+        "predict" => (cmd_predict(state, parsed, false), false),
+        "predict_batch" => (cmd_predict(state, parsed, true), false),
         "explain" => (cmd_explain(state, parsed), false),
         "tune" => (cmd_tune(state, parsed), false),
         "observe" => (cmd_observe(state, parsed), false),
@@ -1647,79 +1378,6 @@ fn select_serving(
     }
 }
 
-/// Where a coalescable single-predict request would be served from, as
-/// determined by the side-effect-free routing peek
-/// ([`coalesce_classify`]): the group key plus the parsed point.
-#[derive(Debug)]
-pub(crate) struct CoalesceTarget {
-    /// Base artifact id the request resolves to.
-    pub base: String,
-    /// Version the steady/candidate rollout serves (0 = base file).
-    pub version: u64,
-    /// The request's parsed raw point.
-    pub raw: Vec<f64>,
-}
-
-/// Decides whether a request may enter a coalescing window, without side
-/// effects on routing state or telemetry counters. Refuses (`None`) for:
-///
-/// - anything that is not a single-point `predict`,
-/// - pinned `<base>@vN` model ids (they bypass lane routing),
-/// - bases with a **live canary** — the content hash splits that traffic
-///   across lanes per request, and lanes must never merge
-///   (`crates/serve/tests` asserts this), and
-/// - requests whose model or point will not resolve (the normal dispatch
-///   path produces the error response).
-pub(crate) fn coalesce_classify(state: &ServerState, parsed: &Json) -> Option<CoalesceTarget> {
-    if parsed.get("cmd").and_then(Json::as_str) != Some("predict") {
-        return None;
-    }
-    if let Some(id) = parsed.get("model").and_then(Json::as_str) {
-        if split_version(id).is_some() {
-            return None;
-        }
-    }
-    let art = resolve_model(&state.registry, parsed).ok()?;
-    let raw = parse_point(parsed.get("point")?, art.space.len()).ok()?;
-    let base = art.id();
-    let version = match state.with_rollout(&base, |e| (e.state.phase, e.state.active)) {
-        None => 0,
-        Some((RolloutPhase::Canary, _)) => return None,
-        Some((_, active)) => active,
-    };
-    Some(CoalesceTarget { base, version, raw })
-}
-
-/// Evaluates one coalesced group in a single batch, sharded through the
-/// `EMOD_THREADS` pool exactly like `predict_batch`. Returns the
-/// per-request predictions in input order, or `None` when the serving
-/// artifact fails to load — the caller then dispatches each request
-/// individually so the normal path reports the error.
-pub(crate) fn coalesce_predict_values(
-    state: &ServerState,
-    base: &str,
-    version: u64,
-    raws: &[Vec<f64>],
-) -> Option<Vec<f64>> {
-    let art = if version > 0 {
-        state.registry.load_version(base, version).ok()?
-    } else {
-        state.registry.load(base).ok()?
-    };
-    let pool = emod_par::Pool::from_env();
-    let values = if raws.len() >= PARALLEL_BATCH_MIN && pool.threads() > 1 {
-        pool.map(raws, |_i, raw| art.model.predict(&art.space.encode(raw)))
-    } else {
-        raws.iter()
-            .map(|raw| art.model.predict(&art.space.encode(raw)))
-            .collect()
-    };
-    telemetry::counter_add("serve.coalesce.batches", 1);
-    telemetry::counter_add("serve.coalesce.merged", raws.len() as u64);
-    telemetry::observe("serve.coalesce.batch_size", raws.len() as f64);
-    Some(values)
-}
-
 /// The canary gate, run on every `observe` while a canary is live: both
 /// lanes are scored against the ground truth, and the updated rolling
 /// shadow MAPEs plus the SLO burn rate drive the promote / hold /
@@ -1823,12 +1481,7 @@ fn observe_canary(
         .unwrap_or(Json::Null)
 }
 
-fn cmd_predict(
-    state: &ServerState,
-    req: &Json,
-    batch: bool,
-    precomputed: Option<Precomputed>,
-) -> Json {
+fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
     let registry = &state.registry;
     let art = match resolve_model(registry, req) {
         Ok(a) => a,
@@ -1858,22 +1511,12 @@ fn cmd_predict(
     // the same lane regardless of connection or thread interleaving.
     let serving = select_serving(state, art, req, Some(&raws));
     let art = &serving.art;
-    // A coalesced request arrives with its prediction already computed by
-    // the batch pass — but only trust it when the routed lane still serves
-    // the version it was computed from (predictions are pure functions of
-    // (artifact, point), so equality of version implies equality of value).
-    let coalesced = match precomputed {
-        Some((v, p)) if !batch && serving.lane == "active" && serving.version == v => Some(p),
-        _ => None,
-    };
     // Shard large batches across the measurement pool: each prediction is a
     // pure function of its point, so the response is bit-identical to the
     // sequential loop at any `EMOD_THREADS`. Small batches stay inline —
     // spawning workers costs more than the predictions themselves.
     let pool = emod_par::Pool::from_env();
-    let predictions: Vec<Json> = if let Some(p) = coalesced {
-        vec![Json::Num(p)]
-    } else if raws.len() >= PARALLEL_BATCH_MIN && pool.threads() > 1 {
+    let predictions: Vec<Json> = if raws.len() >= PARALLEL_BATCH_MIN && pool.threads() > 1 {
         pool.map(&raws, |_i, raw| {
             Json::Num(art.model.predict(&art.space.encode(raw)))
         })

@@ -9,7 +9,7 @@
 //!   in `(0, 1)`, e.g. `0.999` allows one failed request per thousand.
 //!
 //! A [`SloTracker`] keeps the last `EMOD_SLO_WINDOW` requests (command,
-//! handler latency, outcome) in a bounded ring and distills them into a
+//! latency from arrival, outcome) in a bounded ring and distills them into a
 //! [`SloSnapshot`]: the window's error and over-target fractions, the two
 //! **burn rates**, and rolling per-command latency percentiles. A burn
 //! rate is budget consumption speed — the fraction of the window that
@@ -115,9 +115,9 @@ pub struct SloTracker {
 pub struct CommandWindow {
     /// Requests for this command still inside the window.
     pub count: usize,
-    /// Median handler latency, ms.
+    /// Median request latency, ms.
     pub p50_ms: f64,
-    /// 99th-percentile handler latency, ms (nearest rank over the window).
+    /// 99th-percentile request latency, ms (nearest rank over the window).
     pub p99_ms: f64,
 }
 
@@ -164,8 +164,9 @@ impl SloTracker {
         &self.cfg
     }
 
-    /// Records one finished request (handler latency, excluding accept-queue
-    /// wait), evicting the oldest once the window is full.
+    /// Records one finished request (latency from arrival, including the
+    /// wait for a handler thread), evicting the oldest once the window is
+    /// full.
     pub fn record(&mut self, cmd: &'static str, latency_ms: f64, ok: bool) {
         if self.ring.len() == self.cfg.window.max(1) {
             self.ring.pop_front();

@@ -6,8 +6,12 @@
 //! counters through `stats`. The retrying client must absorb a one-off
 //! panic transparently.
 //!
-//! The fault plan is process-global, so everything lives in one `#[test]`
-//! (this file is its own test binary — no other tests share the process).
+//! A second test pins per-request deadlines on a pipelined connection:
+//! an injected handler delay pushes each request past its deadline.
+//!
+//! The fault plan is process-global, so the two tests serialize on
+//! [`PLAN_LOCK`] (this file is its own test binary — no other tests share
+//! the process).
 
 use emod_core::model::{ModelFamily, SurrogateModel};
 use emod_core::vars::{design_space, COMPILER_PARAMS};
@@ -21,8 +25,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Held for the whole of each test: one fault plan at a time.
+static PLAN_LOCK: Mutex<()> = Mutex::new(());
+
+fn plan_lock() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still runs.
+    PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A synthetic artifact over the real design space (no simulation needed).
 fn synthetic_artifact() -> ModelArtifact {
@@ -92,6 +104,7 @@ fn counter(stats: &Json, name: &str) -> u64 {
 
 #[test]
 fn injected_faults_get_structured_replies_and_the_server_survives() {
+    let _plan = plan_lock();
     // The plan, through the real EMOD_FAULTS env path: the first two
     // handler dispatches panic, the first four are delayed 200ms, and the
     // first artifact store fails with an injected I/O error.
@@ -186,6 +199,58 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
         emod_telemetry::counter_value("serve.client.retries") >= 1,
         "the retrying client should have recorded its retry"
     );
+
+    let bye = raw.request("{\"cmd\":\"shutdown\"}");
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));
+    handle.join().unwrap();
+
+    emod_faults::clear();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn deadline_exceeded_is_per_request_on_a_pipelined_connection() {
+    let _plan = plan_lock();
+    // Each of the first three handler dispatches sleeps 100 ms, four times
+    // the 25 ms deadline. Deadlines count from arrival, so the wait behind
+    // the single handler thread adds to the later requests' overrun.
+    emod_faults::install(emod_faults::FaultPlan::parse("delay:serve.handle:100ms:3x", 0).unwrap());
+
+    let dir = std::env::temp_dir().join(format!("emod-serve-deadline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let art = synthetic_artifact();
+    let id = art.id();
+    registry.store(&art).unwrap();
+    let server = Server::bind(registry, "127.0.0.1:0", 1)
+        .unwrap()
+        .with_deadline_ms(Some(25));
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let mut raw = RawClient::connect(addr);
+    let predict = format!(
+        "{{\"cmd\":\"predict\",\"model\":\"{}\",\"point\":\"o2@typical\"}}\n",
+        id
+    );
+    raw.writer.write_all(predict.repeat(3).as_bytes()).unwrap();
+    for _ in 0..3 {
+        let mut line = String::new();
+        raw.reader.read_line(&mut line).unwrap();
+        let resp = Json::parse(line.trim()).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{}", resp);
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("deadline_exceeded"),
+            "{}",
+            resp
+        );
+        assert_eq!(resp.get("retryable"), Some(&Json::Bool(true)), "{}", resp);
+    }
+    // The errors were per request: the connection survives, and with the
+    // plan exhausted a fast command answers within the deadline.
+    let listed = raw.request("{\"cmd\":\"list_models\"}");
+    assert_eq!(listed.get("ok"), Some(&Json::Bool(true)), "{}", listed);
 
     let bye = raw.request("{\"cmd\":\"shutdown\"}");
     assert_eq!(bye.get("ok"), Some(&Json::Bool(true)));

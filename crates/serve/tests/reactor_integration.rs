@@ -1,22 +1,23 @@
-//! Reactor-front acceptance tests: byte-identical A/B against the
-//! blocking threads front over real loopback TCP, coalescing merge and
-//! ordering, canary-lane isolation, per-request deadline errors inside a
-//! coalesced batch, and many-connection multiplexing on a tiny worker
-//! pool (the scenario that starves the threads front outright).
+//! Wire tests for the serving front over real loopback TCP: replies
+//! byte-identical to a golden transcript, sent one request at a time and
+//! pipelined in one write; canary-lane routing that does not depend on
+//! pipelining; and many open connections multiplexed onto a tiny worker
+//! pool.
 //!
-//! Every scenario builds its servers with the `with_front` /
-//! `with_coalesce` / `with_deadline_ms` builders instead of process env,
-//! so the tests are safe under the default parallel test runner.
+//! The transcript (`wire_transcript.txt`, `> request` / `< response`
+//! line pairs) holds the replies of the earlier thread-per-connection
+//! front to a fixed request mix, so it pins the wire format across the
+//! change of front. Servers are configured through builders, never
+//! process env, so the tests are safe under the parallel test runner.
 
 use emod_core::model::{ModelFamily, SurrogateModel};
 use emod_core::vars::{design_space, COMPILER_PARAMS};
 use emod_models::Dataset;
 use emod_serve::artifact::{ArtifactMeta, ModelArtifact};
-use emod_serve::coalesce::CoalesceCfg;
 use emod_serve::json::Json;
 use emod_serve::registry::ModelRegistry;
 use emod_serve::rollout::{RolloutPhase, RolloutState};
-use emod_serve::server::{Front, Server};
+use emod_serve::server::Server;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, BufReader, Write};
@@ -147,114 +148,57 @@ fn predict_body(id: &str, point: &[f64]) -> String {
     )
 }
 
-/// The fixed request mix the A/B comparison drives through both fronts:
-/// happy-path reads, batch predicts, and every protocol-level error shape.
-fn ab_request_mix(id: &str, queries: &[Vec<f64>]) -> Vec<String> {
-    let mut reqs = vec!["{\"cmd\":\"list_models\"}".to_string()];
-    for q in &queries[..8] {
-        reqs.push(predict_body(id, q));
+/// Registry root of the golden test. It is relative on purpose: the
+/// `no-such-model` reply quotes the path, and the transcript was recorded
+/// with exactly this root (tests run from the crate directory).
+const GOLDEN_REGISTRY: &str = "../../target/golden-wire-registry";
+
+/// The golden transcript as `(request, response)` line pairs.
+fn golden_pairs() -> Vec<(String, String)> {
+    let mut lines = include_str!("wire_transcript.txt").lines();
+    let mut pairs = Vec::new();
+    while let Some(request) = lines.next() {
+        let response = lines.next().expect("request line without a response");
+        let request = request.strip_prefix("> ").expect("request line");
+        let response = response.strip_prefix("< ").expect("response line");
+        pairs.push((request.to_string(), response.to_string()));
     }
-    let pts: Vec<String> = queries[..4]
-        .iter()
-        .map(|q| {
-            let pt: Vec<String> = q.iter().map(|v| format!("{}", v)).collect();
-            format!("[{}]", pt.join(","))
-        })
-        .collect();
-    reqs.push(format!(
-        "{{\"cmd\":\"predict_batch\",\"model\":\"{}\",\"points\":[{}]}}",
-        id,
-        pts.join(",")
-    ));
-    reqs.push("{\"cmd\":\"predict\",\"model\":\"no-such-model\",\"point\":\"o2@typical\"}".into());
-    reqs.push("{\"cmd\":\"nope\"}".into());
-    reqs.push("{not json".into());
-    reqs.push("{\"nocmd\":1}".into());
-    reqs.push(format!(
-        "{{\"cmd\":\"predict\",\"model\":\"{}\",\"point\":[1,2]}}",
+    pairs
+}
+
+#[test]
+fn replies_match_the_golden_transcript_sequential_and_pipelined() {
+    let dir = Path::new(GOLDEN_REGISTRY);
+    let (id, _) = seed_registry(dir);
+    let (requests, expected): (Vec<String>, Vec<String>) = golden_pairs().into_iter().unzip();
+    assert!(
+        requests.iter().any(|r| r.contains(&id)),
+        "the transcript addresses a different artifact than {}",
         id
-    ));
-    reqs
-}
-
-#[test]
-fn reactor_front_is_byte_identical_with_the_threads_front() {
-    let dir = std::env::temp_dir().join(format!("emod-reactor-ab-{}", std::process::id()));
-    let (id, queries) = seed_registry(&dir);
-    let requests = ab_request_mix(&id, &queries);
-
-    let threads_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (threads_addr, threads_h) =
-        spawn_server(Server::bind(threads_reg, "127.0.0.1:0", 2).unwrap());
-    let reactor_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (reactor_addr, reactor_h) = spawn_server(
-        Server::bind(reactor_reg, "127.0.0.1:0", 2)
-            .unwrap()
-            .with_front(Front::Reactor)
-            .with_coalesce(Some(CoalesceCfg {
-                window: Duration::from_micros(500),
-                max_batch: 64,
-            })),
     );
 
-    let mut threads_client = TestClient::connect(threads_addr);
-    let mut reactor_client = TestClient::connect(reactor_addr);
-    for req in &requests {
-        let a = threads_client.request_raw(req);
-        let b = reactor_client.request_raw(req);
-        assert_eq!(a, b, "fronts disagree on request {}", req);
+    let registry = Arc::new(ModelRegistry::open(dir).unwrap());
+    let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
+    let mut sequential = TestClient::connect(addr);
+    for (request, want) in requests.iter().zip(&expected) {
+        assert_eq!(
+            &sequential.request_raw(request),
+            want,
+            "reply to {}",
+            request
+        );
     }
+    // The whole mix in one write: two handler threads may finish out of
+    // order, yet every reply must come back in request order, unchanged.
+    let mut pipelined = TestClient::connect(addr);
+    assert_eq!(pipelined.pipeline_raw(&requests), expected);
 
-    shutdown(threads_addr);
-    shutdown(reactor_addr);
-    threads_h.join().unwrap();
-    reactor_h.join().unwrap();
+    shutdown(addr);
+    handle.join().unwrap();
 }
 
 #[test]
-fn coalesced_pipeline_preserves_order_and_values() {
-    let dir = std::env::temp_dir().join(format!("emod-reactor-co-{}", std::process::id()));
-    let (id, queries) = seed_registry(&dir);
-    // Distinct points so a misordered demux would be visible in the
-    // prediction values, not just in sequencing metadata.
-    let bodies: Vec<String> = queries[..12].iter().map(|q| predict_body(&id, q)).collect();
-
-    let threads_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (threads_addr, threads_h) =
-        spawn_server(Server::bind(threads_reg, "127.0.0.1:0", 2).unwrap());
-    let reactor_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (reactor_addr, reactor_h) = spawn_server(
-        Server::bind(reactor_reg, "127.0.0.1:0", 2)
-            .unwrap()
-            .with_front(Front::Reactor)
-            .with_coalesce(Some(CoalesceCfg {
-                // A wide window so the whole pipelined burst lands in one
-                // group and flushes as a single batch.
-                window: Duration::from_millis(50),
-                max_batch: 64,
-            })),
-    );
-
-    let mut threads_client = TestClient::connect(threads_addr);
-    let expected: Vec<String> = bodies
-        .iter()
-        .map(|b| threads_client.request_raw(b))
-        .collect();
-    let mut reactor_client = TestClient::connect(reactor_addr);
-    let got = reactor_client.pipeline_raw(&bodies);
-    assert_eq!(
-        expected, got,
-        "coalesced responses drifted from threads front"
-    );
-
-    shutdown(threads_addr);
-    shutdown(reactor_addr);
-    threads_h.join().unwrap();
-    reactor_h.join().unwrap();
-}
-
-#[test]
-fn canary_routed_requests_are_never_coalesced_across_lanes() {
+fn canary_lanes_route_the_same_pipelined_and_sequential() {
     let dir = std::env::temp_dir().join(format!("emod-reactor-canary-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let space = design_space();
@@ -287,30 +231,16 @@ fn canary_routed_requests_are_never_coalesced_across_lanes() {
     let queries = emod_doe::lhs(&space, 48, &mut qrng);
     let bodies: Vec<String> = queries.iter().map(|q| predict_body(&base, q)).collect();
 
-    let threads_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (threads_addr, threads_h) =
-        spawn_server(Server::bind(threads_reg, "127.0.0.1:0", 2).unwrap());
-    let reactor_reg = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (reactor_addr, reactor_h) = spawn_server(
-        Server::bind(reactor_reg, "127.0.0.1:0", 2)
-            .unwrap()
-            .with_front(Front::Reactor)
-            // Coalescing is ON; the classifier must still refuse every
-            // request for this base because a canary is live.
-            .with_coalesce(Some(CoalesceCfg {
-                window: Duration::from_millis(20),
-                max_batch: 64,
-            })),
-    );
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
 
-    let mut threads_client = TestClient::connect(threads_addr);
-    let expected: Vec<String> = bodies
-        .iter()
-        .map(|b| threads_client.request_raw(b))
-        .collect();
-    let mut reactor_client = TestClient::connect(reactor_addr);
-    let got = reactor_client.pipeline_raw(&bodies);
-    assert_eq!(expected, got, "canary lane routing drifted between fronts");
+    // Lanes are a function of request content: the same stream must land
+    // in the same lanes, with the same values, however it is sent.
+    let mut sequential = TestClient::connect(addr);
+    let expected: Vec<String> = bodies.iter().map(|b| sequential.request_raw(b)).collect();
+    let mut pipelined = TestClient::connect(addr);
+    let got = pipelined.pipeline_raw(&bodies);
+    assert_eq!(expected, got, "canary lane routing depends on pipelining");
 
     // The canary split actually exercised both lanes.
     let lanes: Vec<&str> = got
@@ -331,52 +261,6 @@ fn canary_routed_requests_are_never_coalesced_across_lanes() {
         "no request routed to the active lane"
     );
 
-    shutdown(threads_addr);
-    shutdown(reactor_addr);
-    threads_h.join().unwrap();
-    reactor_h.join().unwrap();
-}
-
-#[test]
-fn deadline_expiry_mid_batch_returns_per_request_errors() {
-    let dir = std::env::temp_dir().join(format!("emod-reactor-dl-{}", std::process::id()));
-    let (id, queries) = seed_registry(&dir);
-
-    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (addr, handle) = spawn_server(
-        Server::bind(registry, "127.0.0.1:0", 2)
-            .unwrap()
-            .with_front(Front::Reactor)
-            // The coalescing window alone exceeds the deadline: every
-            // request that waits for the batch must individually answer
-            // `deadline_exceeded` (retryable), not hang or kill the
-            // connection.
-            .with_coalesce(Some(CoalesceCfg {
-                window: Duration::from_millis(300),
-                max_batch: 64,
-            }))
-            .with_deadline_ms(Some(25)),
-    );
-
-    let mut client = TestClient::connect(addr);
-    let bodies: Vec<String> = queries[..3].iter().map(|q| predict_body(&id, q)).collect();
-    let responses = client.pipeline_raw(&bodies);
-    for line in &responses {
-        let resp = Json::parse(line).unwrap();
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{}", line);
-        assert_eq!(
-            resp.get("code").and_then(Json::as_str),
-            Some("deadline_exceeded"),
-            "{}",
-            line
-        );
-        assert_eq!(resp.get("retryable"), Some(&Json::Bool(true)), "{}", line);
-    }
-    // The errors were per-request: the connection survives and a fast,
-    // uncoalesced command still succeeds within the deadline.
-    let listed = client.request("{\"cmd\":\"list_models\"}");
-    assert_eq!(listed.get("ok"), Some(&Json::Bool(true)));
-
     shutdown(addr);
     handle.join().unwrap();
 }
@@ -387,15 +271,11 @@ fn reactor_multiplexes_many_connections_on_two_workers() {
     let (id, queries) = seed_registry(&dir);
 
     let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (addr, handle) = spawn_server(
-        Server::bind(registry, "127.0.0.1:0", 2)
-            .unwrap()
-            .with_front(Front::Reactor),
-    );
+    let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
 
-    // 64 concurrently-open connections on a 2-worker pool: the threads
-    // front would serve the first two and starve the rest; the reactor
-    // must answer every one while they all stay open.
+    // 64 concurrently open connections on a 2-worker pool: no connection
+    // holds a worker while idle, so every one is answered while they all
+    // stay open.
     let mut clients: Vec<TestClient> = (0..64).map(|_| TestClient::connect(addr)).collect();
     for (i, client) in clients.iter_mut().enumerate() {
         let resp = client.request(&predict_body(&id, &queries[i % queries.len()]));
