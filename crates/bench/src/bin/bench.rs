@@ -15,10 +15,7 @@
 //! line — the `BENCH_HISTORY.jsonl` feed that `emod-trace bench` judges
 //! for step regressions.
 //!
-//! A fourth phase (`BENCH_tier0.json`) times the same campaign untiered
-//! versus with tiered measurement enabled, recording the simulation-count
-//! reduction and the holdout-MAPE cost of accepting surrogate answers.
-//! A fifth phase (`BENCH_canary.json`) drives an in-process server through
+//! A fourth phase (`BENCH_canary.json`) drives an in-process server through
 //! a live canary rollout — asserting the content-hash router assigns
 //! identical lanes at 1 worker and `--threads` workers, timing predict
 //! throughput during the split, and counting observations until the
@@ -32,7 +29,7 @@
 //! ```
 //!
 //! `--phase NAME` (repeatable) restricts the run to the named phases
-//! (`measure`, `train`, `serve`, `tier0`, `canary`) — the CI canary-smoke
+//! (`measure`, `train`, `serve`, `canary`) — the CI canary-smoke
 //! job benches only the rollout path this way.
 //!
 //! `--check-speedup X` exits non-zero if the measurement-campaign speedup
@@ -41,13 +38,11 @@
 //! single-core CI runners) the gate prints a skip note instead, because no
 //! scheduler can conjure parallel speedup out of one core.
 
-use emod_compiler::OptConfig;
 use emod_core::builder::BuildConfig;
 use emod_core::measure::{Measurer, Metric};
 use emod_core::model::{ModelFamily, SurrogateModel};
 use emod_core::tune::search_flags_surrogate;
-use emod_core::vars::{design_space, encode_point};
-use emod_core::Tier0Config;
+use emod_core::vars::design_space;
 use emod_doe::lhs;
 use emod_models::{Dataset, Regressor};
 use emod_uarch::UarchConfig;
@@ -66,7 +61,7 @@ const BENCH_SEED: u64 = 4242;
 const REPORT_SCHEMA: u64 = 2;
 
 /// Phase names accepted by `--phase`, in run order.
-const PHASES: [&str; 5] = ["measure", "train", "serve", "tier0", "canary"];
+const PHASES: [&str; 4] = ["measure", "train", "serve", "canary"];
 
 struct Args {
     quick: bool,
@@ -388,143 +383,7 @@ fn bench_serve(args: &Args, data: &Dataset) {
     write_report(args, "serve", &fields);
 }
 
-/// Design points sweeping three machine axes around the paper's "typical"
-/// configuration at -O2, interleaved so consecutive points jump around the
-/// grid — the shape of campaign the tier-0 surrogate is built for.
-fn uarch_sweep_points() -> Vec<Vec<f64>> {
-    let space = design_space();
-    let base = encode_point(&OptConfig::o2(), &UarchConfig::typical());
-    let axes = ["issue-width", "ruu-size", "memory-latency"]
-        .map(|n| space.index_of(n).expect("machine axis"));
-    let mut pool = Vec::new();
-    for a in space.parameters()[axes[0]].levels() {
-        for b in space.parameters()[axes[1]].levels() {
-            for c in space.parameters()[axes[2]].levels() {
-                let mut p = base.clone();
-                p[axes[0]] = a;
-                p[axes[1]] = b;
-                p[axes[2]] = c;
-                pool.push(p);
-            }
-        }
-    }
-    let n = pool.len();
-    let stride = [37usize, 41, 43, 47]
-        .into_iter()
-        .find(|s| {
-            let (mut x, mut y) = (*s, n);
-            while y != 0 {
-                (x, y) = (y, x % y);
-            }
-            x == 1
-        })
-        .expect("coprime stride");
-    (0..n).map(|i| pool[(i * stride) % n].clone()).collect()
-}
-
-/// Phase 4: tiered measurement. The same multi-round campaign runs untiered
-/// (every point SMARTS-sampled) and tiered (surrogate answers once the
-/// router's error bound clears the operating point); the report records the
-/// simulation-count reduction, wall-time speedup, and how far the tiered
-/// dataset moves a fitted RBF model's holdout MAPE. The bench uses a 15%
-/// operating point so the router engages within a bench-sized campaign; the
-/// production default (1%, `EMOD_TIER0_ERR_BOUND`) needs campaign-scale
-/// training data.
-fn bench_tier0(args: &Args) {
-    println!("== tier0: tiered measurement routing ==");
-    let workload = Workload::by_name("gzip").expect("bundled workload");
-    // Denser sampling than the other phases: tier-2 escalation fires when a
-    // SMARTS confidence interval exceeds the operating point, so the bench
-    // needs CIs that normally sit under the bound (1 in 100 windows
-    // measured rather than the quick preset's sparse plan).
-    let sample = emod_uarch::SampleConfig {
-        window: 500,
-        interval: 20,
-        warmup: 1000,
-        fuel: u64::MAX,
-    };
-    let space = design_space();
-    let pool = uarch_sweep_points();
-    let n_campaign = (if args.quick { 96 } else { 156 }).min(pool.len() - 12);
-    let round = 6;
-    let campaign = &pool[..n_campaign];
-    let holdout = &pool[n_campaign..n_campaign + 12];
-    let cfg = Tier0Config {
-        err_bound: 0.15,
-        min_train: 16,
-        ..Tier0Config::default()
-    };
-
-    let run = |tiered: bool| {
-        let mut m = Measurer::new(workload, InputSet::Train, sample);
-        m.set_tier0(tiered.then(|| cfg.clone()));
-        m.set_threads(1);
-        let mut ys = Vec::with_capacity(campaign.len());
-        for chunk in campaign.chunks(round) {
-            ys.extend(m.measure_metric_batch(chunk, Metric::Cycles));
-        }
-        (ys, m.measurement_count(), m.tier_counts())
-    };
-    let (wall_untiered, (ys_untiered, sims_untiered, _)) = timed(args.reps, || run(false));
-    let (wall_tiered, (ys_tiered, sims_tiered, tiers)) = timed(args.reps, || run(true));
-    let speedup = wall_untiered / wall_tiered.max(1e-9);
-    let sim_reduction = sims_untiered as f64 / (sims_tiered.max(1)) as f64;
-
-    // Model-quality cost: fit the same family on each campaign's dataset
-    // and score both on untiered SMARTS truth at held-out points.
-    let mut truth_m = Measurer::new(workload, InputSet::Train, sample);
-    truth_m.set_threads(1);
-    let truth: Vec<f64> = holdout
-        .iter()
-        .map(|p| truth_m.measure_metric(p, Metric::Cycles))
-        .collect();
-    let mape_of = |ys: &[f64]| {
-        let xs: Vec<Vec<f64>> = campaign.iter().map(|p| space.encode(p)).collect();
-        let data = Dataset::new(xs, ys.to_vec()).expect("campaign dataset");
-        std::env::set_var(emod_par::THREADS_ENV, "1");
-        let model = SurrogateModel::fit(&data, ModelFamily::Rbf).expect("rbf fit");
-        std::env::remove_var(emod_par::THREADS_ENV);
-        let sum: f64 = holdout
-            .iter()
-            .zip(&truth)
-            .map(|(p, y)| (model.predict(&space.encode(p)) - y).abs() / y.abs().max(1e-9))
-            .sum();
-        100.0 * sum / truth.len() as f64
-    };
-    let mape_untiered = mape_of(&ys_untiered);
-    let mape_tiered = mape_of(&ys_tiered);
-    let mape_delta_abs = (mape_tiered - mape_untiered).abs();
-    println!(
-        "  {} points  untiered {:.3}s / {} sims  tiered {:.3}s / {} sims (tier0 {} / smarts {} / detailed {})",
-        n_campaign, wall_untiered, sims_untiered, wall_tiered, sims_tiered, tiers[0], tiers[1], tiers[2]
-    );
-    println!(
-        "  sim reduction {:.2}x  speedup {:.2}x  holdout MAPE untiered {:.2}% tiered {:.2}% (|Δ| {:.2} pts)",
-        sim_reduction, speedup, mape_untiered, mape_tiered, mape_delta_abs
-    );
-
-    let mut fields = common_fields(args, args.reps, "tier0");
-    fields.extend([
-        ("workload", format!("\"{}\"", workload.name())),
-        ("points", n_campaign.to_string()),
-        ("err_bound", jnum(cfg.err_bound)),
-        ("sims_untiered", sims_untiered.to_string()),
-        ("sims_tiered", sims_tiered.to_string()),
-        ("sim_reduction", jnum(sim_reduction)),
-        ("tier0_hits", tiers[0].to_string()),
-        ("smarts_runs", tiers[1].to_string()),
-        ("detailed_promotions", tiers[2].to_string()),
-        ("wall_s_untiered", jnum(wall_untiered)),
-        ("wall_s_tiered", jnum(wall_tiered)),
-        ("speedup", jnum(speedup)),
-        ("mape_untiered", jnum(mape_untiered)),
-        ("mape_tiered", jnum(mape_tiered)),
-        ("mape_delta_abs", jnum(mape_delta_abs)),
-    ]);
-    write_report(args, "tier0", &fields);
-}
-
-/// Phase 5: closed-loop canary rollout over an in-process server. An
+/// Phase 4: closed-loop canary rollout over an in-process server. An
 /// active model fit on a warped response surface and a candidate version
 /// fit on the exact surface serve behind the canary router at 30%
 /// traffic; the bench drives the same predict stream through
@@ -791,9 +650,6 @@ fn main() {
         bench_serve(&args, &data);
     } else if args.phase_enabled("train") {
         bench_train(&args, true);
-    }
-    if args.phase_enabled("tier0") {
-        bench_tier0(&args);
     }
     if args.phase_enabled("canary") {
         bench_canary(&args);

@@ -5,7 +5,6 @@
 //! emod-trace flame   <file.jsonl>...                   self-time table per span path
 //! emod-trace diff    <a.jsonl> <b.jsonl> [--threshold PCT]
 //! emod-trace quality <file.jsonl>...                   model-quality summary
-//! emod-trace tiers   <file.jsonl>...                   tiered-measurement summary
 //! emod-trace rollout <file.jsonl>...                   canary-rollout lifecycle report
 //! emod-trace bench   <BENCH_HISTORY.jsonl>... [--window N] [--threshold PCT] [--warn-only]
 //! ```
@@ -18,12 +17,10 @@
 //! than the threshold (default 20%), so CI can gate on it. `quality`
 //! distills the server's `quality.prediction`/`quality.observation`/
 //! `quality_warn` events into extrapolation, disagreement, and
-//! accuracy-drift summaries per model. `tiers` distills the measurer's
-//! `tier0_hit`/`measurement` events into per-tier hit and promotion
-//! counts — how much work the tier-0 surrogate actually absorbed.
-//! `rollout` distills the server's `rollout.*` lifecycle events (refresh
-//! enqueues, candidates, canary starts, promotions, rollbacks) into a
-//! timeline — the post-mortem view of a closed-loop model refresh. `bench`
+//! accuracy-drift summaries per model. `rollout` distills the server's
+//! `rollout.*` lifecycle events (refresh enqueues, candidates, canary
+//! starts, promotions, rollbacks) into a timeline — the post-mortem view
+//! of a closed-loop model refresh. `bench`
 //! reads `BENCH_HISTORY.jsonl` run history, prints per-metric trendlines,
 //! and **exits 1** when a windowed mean-shift finds a step regression in
 //! any judged metric (throughput down, p99/wall time up) — the CI gate
@@ -43,7 +40,6 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("       emod-trace flame   <file.jsonl>...");
     eprintln!("       emod-trace diff    <a.jsonl> <b.jsonl> [--threshold PCT]");
     eprintln!("       emod-trace quality <file.jsonl>...");
-    eprintln!("       emod-trace tiers   <file.jsonl>...");
     eprintln!("       emod-trace rollout <file.jsonl>...");
     eprintln!(
         "       emod-trace bench   <BENCH_HISTORY.jsonl>... [--window N] [--threshold PCT] [--warn-only]"
@@ -208,18 +204,6 @@ fn main() -> ExitCode {
             match read_all_events(&files) {
                 Ok(events) => {
                     emit(&trace::render_rollout(&trace::summarize_rollout(&events)));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => usage(&e),
-            }
-        }
-        "tiers" => {
-            if files.is_empty() {
-                return usage("tiers needs at least one JSONL file");
-            }
-            match read_all_events(&files) {
-                Ok(events) => {
-                    emit(&trace::render_tiers(&trace::summarize_tiers(&events)));
                     ExitCode::SUCCESS
                 }
                 Err(e) => usage(&e),

@@ -3,7 +3,7 @@
 //! `BENCH_HISTORY.jsonl` accumulates one flat JSON object per bench run —
 //! the `bench` binary and `emod-load --history` both append to it. Each
 //! line carries a `bench` phase name (`measure`, `train`, `serve`,
-//! `tier0`, `load`), a `schema` version, and that run's numeric results.
+//! `canary`, `load`), a `schema` version, and that run's numeric results.
 //! This module turns the file into per-`(bench, metric)` series (file
 //! order == time order), fits a linear trendline to each, and flags
 //! **step regressions** with a windowed mean-shift test: the mean of the
@@ -62,7 +62,6 @@ pub fn metric_direction(metric: &str) -> Option<Direction> {
         "p90_ms",
         "p99_ms",
         "p999_ms",
-        "mape",
         "error_rate",
         "overload_rate",
     ];
@@ -71,9 +70,8 @@ pub fn metric_direction(metric: &str) -> Option<Direction> {
         "predictions_per_sec",
         "minst_per_sec",
         "throughput_rps",
-        "sim_reduction",
     ];
-    // Prefix match so variants like `wall_s_par` / `mape_tiered` /
+    // Prefix match so variants like `wall_s_par` /
     // `predictions_per_sec_seq` inherit their base metric's direction.
     if LOWER.iter().any(|p| metric.starts_with(p)) {
         return Some(Direction::LowerIsBetter);
@@ -341,10 +339,6 @@ mod tests {
             Some(Direction::LowerIsBetter)
         );
         assert_eq!(metric_direction("p999_ms"), Some(Direction::LowerIsBetter));
-        assert_eq!(
-            metric_direction("mape_tiered"),
-            Some(Direction::LowerIsBetter)
-        );
         assert_eq!(metric_direction("speedup"), Some(Direction::HigherIsBetter));
         assert_eq!(
             metric_direction("minst_per_sec_seq"),

@@ -621,141 +621,6 @@ pub fn render_quality(r: &QualityReport) -> String {
     out
 }
 
-/// Per-workload measurement tallies inside a [`TierReport`]:
-/// `[surrogate, sampled, detailed]`.
-pub type TierCounts = [usize; 3];
-
-/// A tiered-measurement report distilled from telemetry events: how often
-/// each tier answered, the error bounds tier-0 quoted, and the SMARTS
-/// confidence intervals of the runs that did simulate.
-#[derive(Debug, Default)]
-pub struct TierReport {
-    /// `core.tier0_hit` events — measurements answered by the surrogate.
-    pub tier0_hits: usize,
-    /// SMARTS-sampled simulations (`core.measurement` with tier `smarts`,
-    /// or with no tier tag — pre-tiering streams).
-    pub sampled: usize,
-    /// Full detailed simulations (`core.measurement` with tier `detailed`)
-    /// — tier-2 promotions.
-    pub detailed: usize,
-    /// Error bounds quoted on tier-0 hits, sorted ascending.
-    pub bounds: Vec<f64>,
-    /// SMARTS `rel_error` of sampled runs, sorted ascending.
-    pub rel_error: Vec<f64>,
-    /// Per-workload `[surrogate, sampled, detailed]` tallies.
-    pub per_workload: BTreeMap<String, TierCounts>,
-}
-
-impl TierReport {
-    /// Total measurements seen across all tiers.
-    pub fn total(&self) -> usize {
-        self.tier0_hits + self.sampled + self.detailed
-    }
-}
-
-/// Distills per-tier hit/promotion events out of a telemetry stream.
-pub fn summarize_tiers(events: &[EventRec]) -> TierReport {
-    let mut r = TierReport::default();
-    for e in events {
-        match (e.subsystem.as_str(), e.name.as_str()) {
-            ("core", "tier0_hit") => {
-                r.tier0_hits += 1;
-                if let Some(b) = e.num("bound") {
-                    r.bounds.push(b);
-                }
-                if let Some(w) = e.text("workload") {
-                    r.per_workload.entry(w.to_string()).or_default()[0] += 1;
-                }
-            }
-            ("core", "measurement") => {
-                let tier = match e.text("tier") {
-                    Some("detailed") => 2,
-                    _ => 1, // untagged streams predate tiering: sampled
-                };
-                if tier == 2 {
-                    r.detailed += 1;
-                } else {
-                    r.sampled += 1;
-                    if let Some(err) = e.num("rel_error") {
-                        r.rel_error.push(err);
-                    }
-                }
-                if let Some(w) = e.text("workload") {
-                    r.per_workload.entry(w.to_string()).or_default()[tier] += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    r.bounds.sort_by(f64::total_cmp);
-    r.rel_error.sort_by(f64::total_cmp);
-    r
-}
-
-/// Renders the tier report as the `emod-trace tiers` text output.
-pub fn render_tiers(r: &TierReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "tiered measurement summary");
-    let total = r.total();
-    let pct = |n: usize| {
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / total as f64
-        }
-    };
-    let _ = writeln!(
-        out,
-        "  tier 0 surrogate: {:>6} ({:.1}%)  bound {}",
-        r.tier0_hits,
-        pct(r.tier0_hits),
-        dist_line(&r.bounds)
-    );
-    let _ = writeln!(
-        out,
-        "  tier 1 smarts:    {:>6} ({:.1}%)  rel_error {}",
-        r.sampled,
-        pct(r.sampled),
-        dist_line(&r.rel_error)
-    );
-    let _ = writeln!(
-        out,
-        "  tier 2 detailed:  {:>6} ({:.1}%)  [promotions past the bound]",
-        r.detailed,
-        pct(r.detailed)
-    );
-    if !r.per_workload.is_empty() {
-        let width = r
-            .per_workload
-            .keys()
-            .map(String::len)
-            .max()
-            .unwrap_or(8)
-            .max("workload".len());
-        let _ = writeln!(
-            out,
-            "\n  {:<width$}  {:>6}  {:>6}  {:>8}",
-            "workload",
-            "tier0",
-            "smarts",
-            "detailed",
-            width = width
-        );
-        for (w, counts) in &r.per_workload {
-            let _ = writeln!(
-                out,
-                "  {:<width$}  {:>6}  {:>6}  {:>8}",
-                w,
-                counts[0],
-                counts[1],
-                counts[2],
-                width = width
-            );
-        }
-    }
-    out
-}
-
 /// One lifecycle event on the timeline of a [`RolloutReport`].
 #[derive(Debug, Clone)]
 pub struct RolloutEventRow {
@@ -1028,49 +893,6 @@ mod tests {
         let text = render_quality(&r);
         assert!(text.contains("no samples"), "{}", text);
         assert!(text.contains("no rolling MAPE yet"), "{}", text);
-    }
-
-    fn tier_fixture() -> String {
-        [
-            r#"{"ts_us":1,"kind":"event","subsystem":"core","name":"tier0_hit","fields":{"workload":"164.gzip-graphic","estimate":123456.0,"bound":0.08}}"#,
-            r#"{"ts_us":2,"kind":"event","subsystem":"core","name":"tier0_hit","fields":{"workload":"164.gzip-graphic","estimate":98765.0,"bound":0.03}}"#,
-            r#"{"ts_us":3,"kind":"event","subsystem":"core","name":"measurement","fields":{"workload":"164.gzip-graphic","metric":"cycles","rel_error":0.05,"tier":"smarts"}}"#,
-            r#"{"ts_us":4,"kind":"event","subsystem":"core","name":"measurement","fields":{"workload":"181.mcf","metric":"cycles","rel_error":0.0,"tier":"detailed"}}"#,
-            r#"{"ts_us":5,"kind":"event","subsystem":"core","name":"measurement","fields":{"workload":"181.mcf","metric":"cycles","rel_error":0.09}}"#,
-            r#"{"ts_us":6,"kind":"event","subsystem":"quality","name":"prediction","fields":{"model":"m1"}}"#,
-        ]
-        .join("\n")
-    }
-
-    #[test]
-    fn tier_summary_distills_events() {
-        let p = parse_jsonl(&tier_fixture());
-        let r = summarize_tiers(&p.events);
-        assert_eq!(r.tier0_hits, 2);
-        assert_eq!(r.sampled, 2); // the untagged line counts as sampled
-        assert_eq!(r.detailed, 1);
-        assert_eq!(r.total(), 5);
-        assert_eq!(r.bounds, vec![0.03, 0.08]);
-        assert_eq!(r.rel_error, vec![0.05, 0.09]);
-        assert_eq!(r.per_workload["164.gzip-graphic"], [2, 1, 0]);
-        assert_eq!(r.per_workload["181.mcf"], [0, 1, 1]);
-
-        let text = render_tiers(&r);
-        assert!(text.contains("tiered measurement summary"), "{}", text);
-        assert!(
-            text.contains("tier 0 surrogate:      2 (40.0%)"),
-            "{}",
-            text
-        );
-        assert!(text.contains("181.mcf"), "{}", text);
-    }
-
-    #[test]
-    fn tier_summary_of_empty_stream_is_calm() {
-        let r = summarize_tiers(&[]);
-        let text = render_tiers(&r);
-        assert!(text.contains("no samples"), "{}", text);
-        assert!(text.contains("(0.0%)"), "{}", text);
     }
 
     #[test]

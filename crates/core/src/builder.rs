@@ -50,8 +50,9 @@ impl BuildConfig {
     /// The paper's scale: 400 training points, 100 test points. The
     /// sampling interval is denser than the paper's 1-in-1000 because the
     /// synthetic workloads retire millions rather than billions of
-    /// instructions; 1-in-20 keeps the measurement error under the paper's
-    /// 1% target.
+    /// instructions. At 1-in-20 the error against fully detailed
+    /// simulation has a median of 0.54% but reaches 6.4% at some points
+    /// (DESIGN.md §2).
     pub fn paper(seed: u64) -> Self {
         BuildConfig {
             train_size: 400,
@@ -197,14 +198,6 @@ impl ModelBuilder {
     /// `EMOD_THREADS`). `1` reproduces the sequential execution order.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.measurer.set_threads(threads);
-        self
-    }
-
-    /// Enables (or disables, with `None`) tiered measurement for this
-    /// campaign (tests; production uses `EMOD_TIER0`). Replaces any router
-    /// the measurer already had, dropping its training state.
-    pub fn with_tier0(mut self, cfg: Option<emod_tier0::Tier0Config>) -> Self {
-        self.measurer.set_tier0(cfg);
         self
     }
 

@@ -24,23 +24,10 @@
 //! the measurement-cache key (the `f64::to_bits` of each encoded design
 //! value, then the metric discriminant); `bits` is `f64::to_bits` of the
 //! response. A torn final line — the SIGKILL case — is skipped on load and
-//! overwritten by subsequent appends.
-//!
-//! Tiered campaigns (DESIGN.md §13) append richer entries so a resumed run
-//! can reconstruct the tier router's exact training state:
-//!
-//! ```text
-//! {"key":[...],"bits":...,"tier":1,"inst":4969350,"stack":[...,...]}
-//! {"key":[...],"bits":...,"tier":0}
-//! ```
-//!
-//! `tier` records which rung produced the value (0 surrogate, 1 SMARTS,
-//! 2 detailed), `inst` the retired-instruction count, and `stack` the six
-//! `f64` bit patterns of the CPI-stack observation (cpi, fetch, window,
-//! exec, commit, redirect). Untiered campaigns keep emitting the legacy
-//! two-field form byte-for-byte; both forms parse either way, so a
-//! checkpoint written with tiering on resumes fine with it off (the extra
-//! fields are simply ignored) and vice versa.
+//! overwritten by subsequent appends. Any other line shape is skipped the
+//! same way, including the `"tier"`-tagged entries older builds wrote: a
+//! surrogate value is not a measurement, so such points are re-simulated
+//! (DESIGN.md §10).
 
 use emod_telemetry as telemetry;
 use emod_uarch::SampleConfig;
@@ -92,52 +79,14 @@ fn entry_line(key: &[u64], bits: u64) -> String {
     s
 }
 
-fn entry_line_tiered(
-    key: &[u64],
-    bits: u64,
-    tier: u8,
-    instructions: u64,
-    stack: Option<&[u64; 6]>,
-) -> String {
-    let mut s = entry_line(key, bits);
-    s.pop(); // reopen the object
-    s.push_str(",\"tier\":");
-    s.push_str(&tier.to_string());
-    if tier > 0 {
-        s.push_str(",\"inst\":");
-        s.push_str(&instructions.to_string());
-        if let Some(stack) = stack {
-            s.push_str(",\"stack\":[");
-            for (i, b) in stack.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&b.to_string());
-            }
-            s.push(']');
-        }
-    }
-    s.push('}');
-    s
-}
-
 /// One entry recovered from a checkpoint file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
     /// Response-cache key: `f64::to_bits` of each encoded design value,
     /// then the metric discriminant.
     pub key: Vec<u64>,
-    /// `f64::to_bits` of the measured (or surrogate) response.
+    /// `f64::to_bits` of the measured response.
     pub bits: u64,
-    /// Producing tier (`0` surrogate, `1` SMARTS, `2` detailed), or `None`
-    /// for a legacy untiered entry.
-    pub tier: Option<u8>,
-    /// Instructions retired by the measurement (0 for surrogate/legacy
-    /// entries).
-    pub instructions: u64,
-    /// CPI-stack observation as raw `f64` bit patterns (cpi, fetch,
-    /// window, exec, commit, redirect), when one was recorded.
-    pub stack: Option<[u64; 6]>,
 }
 
 /// Parses one entry line; `None` for anything malformed (notably a line
@@ -153,56 +102,13 @@ fn parse_entry(line: &str) -> Option<CheckpointEntry> {
         }
         key.push(part.parse().ok()?);
     }
-    let rest = rest.strip_prefix(",\"bits\":")?.strip_suffix('}')?;
-    // Legacy form ends right after the bits value; tiered entries continue
-    // with `,"tier":T[,"inst":I[,"stack":[...]]]`.
-    let (bits_str, mut rest) = match rest.split_once(',') {
-        Some((b, r)) => (b, Some(r)),
-        None => (rest, None),
-    };
-    let bits = bits_str.trim().parse().ok()?;
-    let mut tier = None;
-    let mut instructions = 0u64;
-    let mut stack = None;
-    if let Some(r) = rest.take() {
-        let r2 = r.strip_prefix("\"tier\":")?;
-        let (tier_str, r2) = match r2.split_once(',') {
-            Some((t, r)) => (t, Some(r)),
-            None => (r2, None),
-        };
-        tier = Some(tier_str.trim().parse().ok()?);
-        if let Some(r3) = r2 {
-            let r3 = r3.strip_prefix("\"inst\":")?;
-            let (inst_str, r3) = match r3.split_once(',') {
-                Some((i, r)) => (i, Some(r)),
-                None => (r3, None),
-            };
-            instructions = inst_str.trim().parse().ok()?;
-            if let Some(r4) = r3 {
-                let nums = r4.strip_prefix("\"stack\":[")?.strip_suffix(']')?;
-                let mut vals = [0u64; 6];
-                let mut count = 0;
-                for part in nums.split(',') {
-                    if count >= 6 {
-                        return None;
-                    }
-                    vals[count] = part.trim().parse().ok()?;
-                    count += 1;
-                }
-                if count != 6 {
-                    return None;
-                }
-                stack = Some(vals);
-            }
-        }
-    }
-    Some(CheckpointEntry {
-        key,
-        bits,
-        tier,
-        instructions,
-        stack,
-    })
+    let bits = rest
+        .strip_prefix(",\"bits\":")?
+        .strip_suffix('}')?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(CheckpointEntry { key, bits })
 }
 
 /// Entries recovered from a checkpoint file, in recording order.
@@ -301,22 +207,6 @@ impl Checkpoint {
         self.append(&line);
     }
 
-    /// Appends one tiered response: like [`Checkpoint::record`], plus the
-    /// producing tier, the retired-instruction count and (for measured
-    /// tiers) the CPI-stack observation, so a resumed campaign can replay
-    /// the tier router's training state exactly.
-    pub fn record_tiered(
-        &mut self,
-        key: &[u64],
-        bits: u64,
-        tier: u8,
-        instructions: u64,
-        stack: Option<&[u64; 6]>,
-    ) {
-        let line = entry_line_tiered(key, bits, tier, instructions, stack);
-        self.append(&line);
-    }
-
     fn append(&mut self, line: &str) {
         let outcome = writeln!(self.file, "{}", line).and_then(|()| self.file.flush());
         if let Err(e) = outcome {
@@ -357,14 +247,8 @@ mod tests {
         dir
     }
 
-    fn legacy(key: Vec<u64>, bits: u64) -> CheckpointEntry {
-        CheckpointEntry {
-            key,
-            bits,
-            tier: None,
-            instructions: 0,
-            stack: None,
-        }
+    fn entry(key: Vec<u64>, bits: u64) -> CheckpointEntry {
+        CheckpointEntry { key, bits }
     }
 
     #[test]
@@ -379,49 +263,7 @@ mod tests {
         let (_, loaded) = Checkpoint::open(&dir, "bzip2", "train", &s).unwrap();
         assert_eq!(
             loaded,
-            vec![legacy(vec![1, 2, 3], 42), legacy(vec![4, 5, 6], 7)]
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn round_trips_tiered_entries() {
-        let dir = temp_dir("tiered");
-        let s = sample();
-        let (mut ck, _) = Checkpoint::open(&dir, "twolf", "train", &s).unwrap();
-        let stack = [10u64, 20, 30, 40, 50, 60];
-        ck.record_tiered(&[1, 2], 99, 1, 123_456, Some(&stack));
-        ck.record_tiered(&[3, 4], 77, 0, 0, None);
-        ck.record_tiered(&[5, 6], 55, 2, 789, None);
-        ck.record(&[7, 8], 33); // legacy entries can interleave
-        drop(ck);
-        let (_, loaded) = Checkpoint::open(&dir, "twolf", "train", &s).unwrap();
-        assert_eq!(
-            loaded,
-            vec![
-                CheckpointEntry {
-                    key: vec![1, 2],
-                    bits: 99,
-                    tier: Some(1),
-                    instructions: 123_456,
-                    stack: Some(stack),
-                },
-                CheckpointEntry {
-                    key: vec![3, 4],
-                    bits: 77,
-                    tier: Some(0),
-                    instructions: 0,
-                    stack: None,
-                },
-                CheckpointEntry {
-                    key: vec![5, 6],
-                    bits: 55,
-                    tier: Some(2),
-                    instructions: 789,
-                    stack: None,
-                },
-                legacy(vec![7, 8], 33),
-            ]
+            vec![entry(vec![1, 2, 3], 42), entry(vec![4, 5, 6], 7)]
         );
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -442,7 +284,7 @@ mod tests {
         write!(f, "{{\"key\":[10,11],\"bi").unwrap();
         drop(f);
         let (_, loaded) = Checkpoint::open(&dir, "gzip", "train", &s).unwrap();
-        assert_eq!(loaded, vec![legacy(vec![9], 1)]);
+        assert_eq!(loaded, vec![entry(vec![9], 1)]);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -469,7 +311,7 @@ mod tests {
     fn entry_parser_rejects_malformed_lines() {
         assert_eq!(
             parse_entry("{\"key\":[1,2],\"bits\":3}"),
-            Some(legacy(vec![1, 2], 3))
+            Some(entry(vec![1, 2], 3))
         );
         for bad in [
             "",
@@ -484,6 +326,11 @@ mod tests {
             "{\"key\":[1],\"bits\":3,\"tier\":1,\"inst\":9,\"stack\":[1,2]}",
             "{\"key\":[1],\"bits\":3,\"tier\":1,\"inst\":9,\"stack\":[1,2,3,4,5,6,7]}",
             "{\"key\":[1],\"bits\":3,\"tier\":1,\"inst\":9,\"stack\":[1,2,3",
+            // Complete tagged entries: surrogate, SMARTS and detailed. A
+            // surrogate value must never enter a dataset as a measurement.
+            "{\"key\":[1],\"bits\":3,\"tier\":0}",
+            "{\"key\":[1],\"bits\":3,\"tier\":1,\"inst\":9,\"stack\":[1,2,3,4,5,6]}",
+            "{\"key\":[1],\"bits\":3,\"tier\":2,\"inst\":9}",
         ] {
             assert_eq!(parse_entry(bad), None, "{:?}", bad);
         }

@@ -50,7 +50,6 @@ pub mod vars;
 
 pub use builder::{BuildConfig, BuiltModel, ModelBuilder};
 pub use checkpoint::{Checkpoint, CheckpointEntry, CHECKPOINT_ENV};
-pub use emod_tier0::{Tier0Config, TierRouter};
 pub use measure::{MeasureError, Measurer, Metric};
 pub use model::{ModelFamily, SurrogateModel};
 pub use refresh::{augment_design, RefreshQueue, REFRESH_DIR_ENV};

@@ -16,26 +16,14 @@
 //! bytes and measurer statistics are bit-identical at any worker count —
 //! by planning cache lookups and compilations sequentially, simulating the
 //! (pure) remainder on the pool, and merging results back in design order.
-//!
-//! Tiered measurement (DESIGN.md §13): with `EMOD_TIER0` enabled (or
-//! [`Measurer::set_tier0`] called), cycle measurements route through an
-//! [`emod_tier0::TierRouter`] first. Points the surrogate can answer within
-//! the configured error bound skip simulation entirely (tier 0); the rest
-//! run SMARTS as usual (tier 1), and a sampled run whose confidence
-//! interval misses the bound is promoted to full detailed simulation
-//! (tier 2). Every completed tier-1/2 measurement trains the router.
-//! Routing decisions are replayed bit-identically on checkpoint resume and
-//! are independent of the worker count — batches freeze the router state
-//! during planning and train it only at the deterministic merge step.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_ENV};
-use crate::vars::{decode_point, design_space, encode_point};
+use crate::vars::{decode_point, encode_point};
 use emod_compiler::OptConfig;
 use emod_faults as faults;
 use emod_isa::Program;
 use emod_telemetry as telemetry;
-use emod_tier0::{Route, StackSample, Tier, Tier0Config, TierRouter};
-use emod_uarch::{simulate, simulate_sampled, CpiStack, PipeStats, SampleConfig, UarchConfig};
+use emod_uarch::{simulate_sampled, CpiStack, PipeStats, SampleConfig, UarchConfig};
 use emod_workloads::{InputSet, Workload};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -173,32 +161,11 @@ struct RawMeasurement {
     cpi: f64,
     /// Stall breakdown over detailed phases, when one was collected.
     pipe: Option<PipeStats>,
-    /// Producing tier: 1 = SMARTS sampled, 2 = promoted to full detailed.
-    tier: u8,
-}
-
-impl RawMeasurement {
-    /// The CPI-stack observation this measurement contributes to the tier
-    /// router's analytical prior, if any.
-    fn stack_sample(&self) -> Option<StackSample> {
-        let pipe = self.pipe.as_ref()?;
-        if self.cpi > 0.0 {
-            Some(StackSample::from(CpiStack::from_pipe(pipe, self.cpi)))
-        } else {
-            None
-        }
-    }
 }
 
 /// Pure measurement kernel: simulates `program` on `uarch` and extracts
 /// `metric`. No `Measurer` state is read or written, so this is safe to
 /// run concurrently for distinct design points.
-///
-/// `promote_bound` is the tier-2 escalation rule: when set and the sampled
-/// run's 3σ confidence half-width on a cycles measurement exceeds it, the
-/// point is re-run under full detailed simulation (exact cycles,
-/// `rel_error` 0) rather than returning a value the campaign cannot trust
-/// to that bound.
 fn simulate_one(
     workload: &'static Workload,
     set: InputSet,
@@ -206,7 +173,6 @@ fn simulate_one(
     uarch: &UarchConfig,
     sample: &SampleConfig,
     metric: Metric,
-    promote_bound: Option<f64>,
 ) -> Result<RawMeasurement, MeasureError> {
     if metric == Metric::CodeSize {
         return Ok(RawMeasurement {
@@ -217,7 +183,6 @@ fn simulate_one(
             wall_s: 0.0,
             cpi: 0.0,
             pipe: None,
-            tier: 1,
         });
     }
     let expected = workload.reference_checksum(set);
@@ -230,34 +195,6 @@ fn simulate_one(
             expected,
             actual: res.exit_value,
         });
-    }
-    if metric == Metric::Cycles && res.windows > 0 {
-        if let Some(bound) = promote_bound {
-            if res.rel_error > bound {
-                // Tier-2 promotion: the sample cannot certify the bound,
-                // so pay for an exact answer.
-                let full =
-                    simulate(program, uarch).map_err(|e| MeasureError::Sim(e.to_string()))?;
-                let wall_s = start.elapsed().as_secs_f64();
-                if full.exit_value != expected {
-                    return Err(MeasureError::ChecksumMismatch {
-                        workload: workload.name().to_string(),
-                        expected,
-                        actual: full.exit_value,
-                    });
-                }
-                return Ok(RawMeasurement {
-                    value: full.cycles as f64,
-                    rel_error: Some(0.0),
-                    instructions: full.instructions,
-                    windows: res.windows,
-                    wall_s,
-                    cpi: full.cpi(),
-                    pipe: Some(full.pipe),
-                    tier: 2,
-                });
-            }
-        }
     }
     let wall_s = start.elapsed().as_secs_f64();
     Ok(RawMeasurement {
@@ -272,7 +209,6 @@ fn simulate_one(
         wall_s,
         cpi: res.cpi,
         pipe: Some(res.pipe),
-        tier: 1,
     })
 }
 
@@ -295,13 +231,6 @@ pub struct Measurer {
     last_rel_error: Option<f64>,
     rel_error_warnings: u64,
     threads: usize,
-    /// Tiered-measurement router (`None` = every point simulates).
-    router: Option<TierRouter>,
-    /// Values produced per tier this process: [surrogate, sampled, detailed].
-    tier_counts: [u64; 3],
-    /// Tier-0 checkpoint entries replayed on resume (cache-seeded, not
-    /// re-routed).
-    tier0_replayed: u64,
     /// Aggregate stall breakdown over every detailed phase this process
     /// simulated, for [`Measurer::cpi_stack`].
     pipe_accum: PipeStats,
@@ -340,59 +269,15 @@ impl Measurer {
             last_rel_error: None,
             rel_error_warnings: 0,
             threads: emod_par::threads_from_env(),
-            router: None,
-            tier_counts: [0; 3],
-            tier0_replayed: 0,
             pipe_accum: PipeStats::default(),
             cpi_weight_sum: 0.0,
         };
-        // Tiering must be configured before any checkpoint attaches so a
-        // resumed file replays through the router.
-        if let Some(cfg) = Tier0Config::from_env() {
-            m.set_tier0(Some(cfg));
-        }
         if let Ok(dir) = std::env::var(CHECKPOINT_ENV) {
             if !dir.is_empty() {
                 m.attach_checkpoint(std::path::Path::new(&dir));
             }
         }
         m
-    }
-
-    /// Enables (or disables, with `None`) tiered measurement over the full
-    /// 25-dimensional design space. Replaces any existing router, dropping
-    /// its training state. If a checkpoint is already attached, it is
-    /// re-attached so its entries replay into the fresh router — enabling
-    /// tiering after `EMOD_CHECKPOINT` resumed a file still reconstructs
-    /// the router deterministically.
-    pub fn set_tier0(&mut self, cfg: Option<Tier0Config>) {
-        self.router = cfg.map(|c| TierRouter::new(c, design_space()));
-        if self.router.is_some() {
-            if let Some(dir) = self
-                .checkpoint
-                .as_ref()
-                .and_then(|ck| ck.path().parent())
-                .map(|p| p.to_path_buf())
-            {
-                self.attach_checkpoint(&dir);
-            }
-        }
-    }
-
-    /// The tier router, when tiered measurement is enabled.
-    pub fn tier0_router(&self) -> Option<&TierRouter> {
-        self.router.as_ref()
-    }
-
-    /// Values produced per tier by this process:
-    /// `[surrogate, sampled, detailed]`.
-    pub fn tier_counts(&self) -> [u64; 3] {
-        self.tier_counts
-    }
-
-    /// Tier-0 checkpoint entries replayed on resume.
-    pub fn tier0_replayed(&self) -> u64 {
-        self.tier0_replayed
     }
 
     /// Aggregate CPI-stack decomposition over every detailed phase this
@@ -415,44 +300,7 @@ impl Measurer {
         match Checkpoint::open(dir, self.workload.name(), &set_name, &self.sample) {
             Ok((ck, entries)) => {
                 let loaded = entries.len() as u64;
-                // Re-create the router so a second attach cannot train on
-                // the same entries twice; replay then reconstructs its
-                // state in recorded order, exactly as the original run
-                // built it (tier-0 entries seeded the cache without
-                // training then, so they must not train now either).
-                if let Some(r) = self.router.as_ref() {
-                    self.router = Some(TierRouter::new(r.config().clone(), r.space().clone()));
-                }
-                let cycles_key_len = self
-                    .router
-                    .as_ref()
-                    .map(|r| r.space().len() + 1)
-                    .unwrap_or(0);
                 for entry in entries {
-                    if let Some(router) = self.router.as_mut() {
-                        match entry.tier {
-                            Some(0) => {
-                                self.tier0_replayed += 1;
-                                telemetry::counter_add("core.tier0.replayed", 1);
-                            }
-                            Some(_)
-                                if entry.key.len() == cycles_key_len
-                                    && *entry.key.last().unwrap() == Metric::Cycles as u64 =>
-                            {
-                                let point: Vec<f64> = entry.key[..cycles_key_len - 1]
-                                    .iter()
-                                    .map(|&b| f64::from_bits(b))
-                                    .collect();
-                                router.observe(
-                                    &point,
-                                    f64::from_bits(entry.bits),
-                                    entry.instructions,
-                                    entry.stack.map(StackSample::from_bits),
-                                );
-                            }
-                            _ => {}
-                        }
-                    }
                     self.responses.insert(entry.key, entry.bits);
                 }
                 if loaded > 0 {
@@ -644,85 +492,26 @@ impl Measurer {
         uarch: &UarchConfig,
         metric: Metric,
     ) -> Result<f64, MeasureError> {
-        let point = encode_point(opt, uarch);
-        let mut key = quantize(&point);
+        let mut key = quantize(&encode_point(opt, uarch));
         key.push(metric as u64);
         if let Some(&bits) = self.responses.get(&key) {
             telemetry::counter_add("core.measure.response_cache.hits", 1);
             return Ok(f64::from_bits(bits));
         }
         telemetry::counter_add("core.measure.response_cache.misses", 1);
-        if metric == Metric::Cycles {
-            if let Some(Route::Surrogate { estimate, bound }) =
-                self.router.as_ref().map(|r| r.route(&point))
-            {
-                self.accept_tier0(&key, estimate, bound);
-                return Ok(estimate);
-            }
-        }
         let raw = self.try_measure_uncached(opt, uarch, metric)?;
-        Ok(self.absorb_and_finish(&key, &point, raw, metric))
+        Ok(self.absorb_and_finish(&key, raw, metric))
     }
 
-    /// Caches, checkpoints and counts a surrogate answer.
-    fn accept_tier0(&mut self, key: &[u64], estimate: f64, bound: f64) {
-        self.tier_counts[0] += 1;
-        self.responses.insert(key.to_vec(), estimate.to_bits());
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.record_tiered(key, estimate.to_bits(), 0, 0, None);
-        }
-        if telemetry::enabled() {
-            telemetry::counter_add("core.tier0.hits", 1);
-            telemetry::gauge_set("core.tier0.last_bound", bound);
-            telemetry::event(
-                "core",
-                "tier0_hit",
-                &[
-                    ("workload", self.workload.name().into()),
-                    ("estimate", estimate.into()),
-                    ("bound", bound.into()),
-                ],
-            );
-        }
-    }
-
-    /// Folds a fresh simulation into statistics, the response cache, the
-    /// checkpoint (tiered form when routing is enabled) and — for cycle
-    /// measurements — the tier router's training set.
-    fn absorb_and_finish(
-        &mut self,
-        key: &[u64],
-        point: &[f64],
-        raw: RawMeasurement,
-        metric: Metric,
-    ) -> f64 {
-        let tier = raw.tier;
-        let instructions = raw.instructions;
-        let stack = raw.stack_sample();
-        let simulated = raw.rel_error.is_some();
+    /// Folds a fresh simulation into statistics, the response cache and the
+    /// checkpoint.
+    fn absorb_and_finish(&mut self, key: &[u64], raw: RawMeasurement, metric: Metric) -> f64 {
         let value = self.absorb(raw, metric);
         self.responses.insert(key.to_vec(), value.to_bits());
-        if self.router.is_some() {
-            let bits = stack.map(|s| s.to_bits());
-            if let Some(ck) = self.checkpoint.as_mut() {
-                ck.record_tiered(key, value.to_bits(), tier, instructions, bits.as_ref());
-            }
-        } else if let Some(ck) = self.checkpoint.as_mut() {
-            // Untiered campaigns keep the legacy entry bytes exactly.
+        if let Some(ck) = self.checkpoint.as_mut() {
             ck.record(key, value.to_bits());
         }
-        if simulated && metric == Metric::Cycles {
-            if let Some(router) = self.router.as_mut() {
-                router.observe(point, value, instructions, stack);
-            }
-        }
         value
-    }
-
-    /// The tier-2 promotion bound [`simulate_one`] should apply: the
-    /// router's error operating point, when tiering is active.
-    fn promote_bound(&self) -> Option<f64> {
-        self.router.as_ref().map(|r| r.config().err_bound)
     }
 
     /// Compiles and simulates behind the `sim.run` fault probe and a panic
@@ -735,7 +524,6 @@ impl Measurer {
         metric: Metric,
     ) -> Result<RawMeasurement, MeasureError> {
         let sample = self.sample;
-        let promote = self.promote_bound();
         let workload = self.workload;
         let set = self.set;
         // The probe sits inside the guard so injected `panic` faults are
@@ -743,7 +531,7 @@ impl Measurer {
         match faults::catch_panic(|| {
             faults::inject("sim.run").map_err(|e| MeasureError::Injected(e.to_string()))?;
             let program = self.binary(opt).clone();
-            simulate_one(workload, set, &program, uarch, &sample, metric, promote)
+            simulate_one(workload, set, &program, uarch, &sample, metric)
         }) {
             Ok(result) => result,
             Err(panic_msg) => Err(MeasureError::Panicked(panic_msg)),
@@ -764,17 +552,6 @@ impl Measurer {
         if let Some(pipe) = &raw.pipe {
             self.pipe_accum.merge(pipe);
             self.cpi_weight_sum += raw.cpi * pipe.dispatches as f64;
-        }
-        if raw.tier == 2 {
-            self.tier_counts[2] += 1;
-            if self.router.is_some() {
-                telemetry::counter_add("core.tier0.promoted_detailed", 1);
-            }
-        } else {
-            self.tier_counts[1] += 1;
-            if self.router.is_some() {
-                telemetry::counter_add("core.tier0.sampled", 1);
-            }
         }
         if rel_error > REL_ERROR_WARN_THRESHOLD {
             self.rel_error_warnings += 1;
@@ -805,13 +582,6 @@ impl Measurer {
                     ("rel_error", rel_error.into()),
                     ("wall_s", raw.wall_s.into()),
                     ("minst_per_sec", minst_per_sec.into()),
-                    (
-                        "tier",
-                        Tier::from_index(raw.tier)
-                            .unwrap_or(Tier::Sampled)
-                            .name()
-                            .into(),
-                    ),
                 ],
             );
         }
@@ -874,12 +644,9 @@ impl Measurer {
         retry: &BatchRetry,
     ) -> Vec<Result<f64, MeasureError>> {
         let attempts = retry.attempts.max(1);
-        if (self.threads <= 1 || configs.len() <= 1) && self.router.is_none() {
+        if self.threads <= 1 || configs.len() <= 1 {
             // Sequential path: the exact legacy execution order (per-point
-            // retry wrapped around the cached single-point method). Tiered
-            // runs always take the plan/simulate/merge path below so that
-            // routing decisions are made against the same frozen router
-            // state at every worker count.
+            // retry wrapped around the cached single-point method).
             return configs
                 .iter()
                 .enumerate()
@@ -896,58 +663,32 @@ impl Measurer {
         }
 
         // Phase 1 — plan (sequential, caller thread). Resolve cache hits,
-        // route answerable points to the tier-0 surrogate (against router
-        // state frozen at batch entry), deduplicate repeats within the
-        // batch, and compile each fresh configuration's binary through the
-        // shared binary cache.
+        // deduplicate repeats within the batch, and compile each fresh
+        // configuration's binary through the shared binary cache.
         enum Plan {
             Ready(f64),
-            Tier0 {
-                key: Vec<u64>,
-                value: f64,
-                bound: f64,
-            },
             Job(usize),
         }
         struct Job {
             orig_index: usize,
             key: Vec<u64>,
-            point: Vec<f64>,
             program: Result<Program, MeasureError>,
             uarch: UarchConfig,
         }
         let mut plans = Vec::with_capacity(configs.len());
         let mut first_job: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut planned_tier0: HashMap<Vec<u64>, f64> = HashMap::new();
         let mut jobs: Vec<Job> = Vec::new();
         for (i, (opt, uarch)) in configs.iter().enumerate() {
-            let point = encode_point(opt, uarch);
-            let mut key = quantize(&point);
+            let mut key = quantize(&encode_point(opt, uarch));
             key.push(metric as u64);
             if let Some(&bits) = self.responses.get(&key) {
                 telemetry::counter_add("core.measure.response_cache.hits", 1);
                 plans.push(Plan::Ready(f64::from_bits(bits)));
-            } else if let Some(&v) = planned_tier0.get(&key) {
-                telemetry::counter_add("core.measure.response_cache.hits", 1);
-                plans.push(Plan::Ready(v));
             } else if let Some(&j) = first_job.get(&key) {
                 telemetry::counter_add("core.measure.response_cache.hits", 1);
                 plans.push(Plan::Job(j));
             } else {
                 telemetry::counter_add("core.measure.response_cache.misses", 1);
-                if metric == Metric::Cycles {
-                    if let Some(Route::Surrogate { estimate, bound }) =
-                        self.router.as_ref().map(|r| r.route(&point))
-                    {
-                        planned_tier0.insert(key.clone(), estimate);
-                        plans.push(Plan::Tier0 {
-                            key,
-                            value: estimate,
-                            bound,
-                        });
-                        continue;
-                    }
-                }
                 let program = faults::catch_panic(|| self.binary(opt).clone())
                     .map_err(MeasureError::Panicked);
                 first_job.insert(key.clone(), jobs.len());
@@ -955,7 +696,6 @@ impl Measurer {
                 jobs.push(Job {
                     orig_index: i,
                     key,
-                    point,
                     program,
                     uarch: uarch.clone(),
                 });
@@ -969,7 +709,6 @@ impl Measurer {
         let workload = self.workload;
         let set = self.set;
         let sample = self.sample;
-        let promote = self.promote_bound();
         let parent = telemetry::current_context();
         let pool = emod_par::Pool::new(self.threads);
         let results: Vec<Result<RawMeasurement, MeasureError>> = pool.map_with(
@@ -989,7 +728,7 @@ impl Measurer {
                     |_attempt| match faults::catch_panic(|| {
                         faults::inject("sim.run")
                             .map_err(|e| MeasureError::Injected(e.to_string()))?;
-                        simulate_one(workload, set, program, &job.uarch, &sample, metric, promote)
+                        simulate_one(workload, set, program, &job.uarch, &sample, metric)
                     }) {
                         Ok(result) => result,
                         Err(panic_msg) => Err(MeasureError::Panicked(panic_msg)),
@@ -999,23 +738,20 @@ impl Measurer {
         );
 
         // Phase 3 — merge (sequential, caller thread, design order, each
-        // job at its first occurrence): statistics, response cache, router
-        // training and checkpoint update exactly as a sequential loop over
-        // the batch would have updated them.
+        // job at its first occurrence): statistics, response cache and
+        // checkpoint update exactly as a sequential loop over the batch
+        // would have updated them.
         let mut results: Vec<Option<Result<RawMeasurement, MeasureError>>> =
             results.into_iter().map(Some).collect();
         let mut job_values: Vec<Option<Result<f64, MeasureError>>> = vec![None; jobs.len()];
         for (i, plan) in plans.iter().enumerate() {
             match plan {
                 Plan::Ready(_) => {}
-                Plan::Tier0 { key, value, bound } => {
-                    self.accept_tier0(key, *value, *bound);
-                }
                 Plan::Job(j) if jobs[*j].orig_index == i => {
                     let result = results[*j].take().expect("each job merges once");
                     let job = &jobs[*j];
                     job_values[*j] = Some(match result {
-                        Ok(raw) => Ok(self.absorb_and_finish(&job.key, &job.point, raw, metric)),
+                        Ok(raw) => Ok(self.absorb_and_finish(&job.key, raw, metric)),
                         Err(e) => Err(e),
                     });
                 }
@@ -1026,7 +762,6 @@ impl Measurer {
             .into_iter()
             .map(|plan| match plan {
                 Plan::Ready(v) => Ok(v),
-                Plan::Tier0 { value, .. } => Ok(value),
                 Plan::Job(j) => job_values[j]
                     .clone()
                     .expect("job merged at first occurrence"),
@@ -1182,6 +917,60 @@ mod tests {
             );
         }
         assert_eq!(resumed.measurement_count(), 0, "no re-simulation on resume");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn tiered_checkpoint_lines_are_remeasured_not_replayed() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("emod-measure-tiered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let w = Workload::by_name("bzip2").unwrap();
+        let a = encode_point(&OptConfig::o2(), &UarchConfig::typical());
+        let b = encode_point(&OptConfig::o3(), &UarchConfig::constrained());
+        let key = |p: &[f64]| {
+            let mut k = quantize(p);
+            k.push(Metric::Cycles as u64);
+            k.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+        };
+        // A file under this sampling plan's header holding one legacy entry
+        // for A and one surrogate (`"tier":0`) entry for B, written by an
+        // older build. Both values are deliberately wrong.
+        let (ck, _) = Checkpoint::open(&dir, w.name(), "train", &fast_sample()).unwrap();
+        let path = ck.path().to_path_buf();
+        drop(ck);
+        let wrong = 12_345.0f64;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        writeln!(f, "{{\"key\":[{}],\"bits\":{}}}", key(&a), wrong.to_bits()).unwrap();
+        writeln!(
+            f,
+            "{{\"key\":[{}],\"bits\":{},\"tier\":0}}",
+            key(&b),
+            wrong.to_bits()
+        )
+        .unwrap();
+        drop(f);
+
+        let mut m = Measurer::new(w, InputSet::Train, fast_sample());
+        m.attach_checkpoint(&dir);
+        assert_eq!(m.cached_response_count(), 1, "only the legacy line loads");
+        assert_eq!(
+            m.try_measure_metric(&a, Metric::Cycles).unwrap(),
+            wrong,
+            "a legacy entry still resumes as stored"
+        );
+        let truth = Measurer::new(w, InputSet::Train, fast_sample())
+            .try_measure_metric(&b, Metric::Cycles)
+            .unwrap();
+        assert_eq!(
+            m.try_measure_metric(&b, Metric::Cycles).unwrap().to_bits(),
+            truth.to_bits(),
+            "a surrogate entry must be re-simulated, not replayed"
+        );
+        assert_eq!(m.measurement_count(), 1);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Serving-time quality signals (extrapolation past the training hull,
 //! cross-family disagreement) enqueue *raw* design points here; a
-//! background worker later measures them through the tiered measurement
-//! path, augments the training design, and retrains.
+//! background worker later measures them, augments the training design,
+//! and retrains.
 //!
 //! The queue is a single append-only JSONL file per base model id
 //! (`<sanitized-base>.queue.jsonl`), following the same durability recipe

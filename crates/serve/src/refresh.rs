@@ -1,5 +1,5 @@
 //! The serve-side refresh cycle: drain the crash-safe refresh queue,
-//! measure the enqueued design points through the tiered measurement path,
+//! measure the enqueued design points with a [`Measurer`],
 //! augment the training design, retrain the model family, and publish the
 //! result as a **candidate version** that immediately starts canarying.
 //!

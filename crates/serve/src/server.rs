@@ -1615,9 +1615,9 @@ fn cmd_explain(state: &ServerState, req: &Json) -> Json {
 /// `observe`: feed a ground-truth measurement back for a point the server
 /// predicted earlier. The pair enters the bounded shadow ring and refreshes
 /// the rolling accuracy-drift gauges (`serve.quality.shadow_*`). An
-/// optional `"tier"` string tags the observation with the measurement tier
-/// that produced it (`tier0`/`smarts`/`detailed`), echoed in the response
-/// and the `quality.observation` event.
+/// optional, free-form `"tier"` string tags the observation with how it was
+/// measured (for example `smarts` or `detailed`); it is echoed in the
+/// response and the `quality.observation` event.
 fn cmd_observe(state: &ServerState, req: &Json) -> Json {
     let art = match resolve_model(&state.registry, req) {
         Ok(a) => a,
@@ -1635,9 +1635,8 @@ fn cmd_observe(state: &ServerState, req: &Json) -> Json {
         Some(m) if m.is_finite() => m,
         _ => return err_response("observe needs a finite numeric \"measured\" value"),
     };
-    // Which measurement tier produced this ground truth ("tier0", "smarts",
-    // "detailed"). Optional and free-form: surrogate-produced observations
-    // carry the surrogate's own error, so drift consumers need the tag.
+    // How this ground truth was measured. Optional and free-form: the server
+    // only echoes it, so drift consumers can split observations by source.
     let tier = match req.get("tier") {
         None => None,
         Some(t) => match t.as_str() {

@@ -294,8 +294,7 @@ impl SimResult {
     }
 
     /// Decomposes this simulation's CPI into the stall components of
-    /// [`PipeStats`] — the per-component breakdown the tier-0 analytical
-    /// estimators calibrate against (DESIGN.md §13).
+    /// [`PipeStats`].
     pub fn cpi_stack(&self) -> CpiStack {
         CpiStack::from_pipe(&self.pipe, self.cpi())
     }
