@@ -15,22 +15,15 @@
 //! line — the `BENCH_HISTORY.jsonl` feed that `emod-trace bench` judges
 //! for step regressions.
 //!
-//! A fourth phase (`BENCH_canary.json`) drives an in-process server through
-//! a live canary rollout — asserting the content-hash router assigns
-//! identical lanes at 1 worker and `--threads` workers, timing predict
-//! throughput during the split, and counting observations until the
-//! shadow gate auto-promotes the canary.
-//!
 //! ```text
 //! cargo run --release -p emod-bench --bin bench -- --quick
 //! cargo run --release -p emod-bench --bin bench -- --threads 8 --out bench-out
 //! cargo run --release -p emod-bench --bin bench -- --quick --check-speedup 1.5
-//! cargo run --release -p emod-bench --bin bench -- --quick --phase canary
+//! cargo run --release -p emod-bench --bin bench -- --quick --phase serve
 //! ```
 //!
 //! `--phase NAME` (repeatable) restricts the run to the named phases
-//! (`measure`, `train`, `serve`, `canary`) — the CI canary-smoke
-//! job benches only the rollout path this way.
+//! (`measure`, `train`, `serve`).
 //!
 //! `--check-speedup X` exits non-zero if the measurement-campaign speedup
 //! falls below `X` — but only when the host has at least 4 cores and the
@@ -61,7 +54,7 @@ const BENCH_SEED: u64 = 4242;
 const REPORT_SCHEMA: u64 = 2;
 
 /// Phase names accepted by `--phase`, in run order.
-const PHASES: [&str; 4] = ["measure", "train", "serve", "canary"];
+const PHASES: [&str; 3] = ["measure", "train", "serve"];
 
 struct Args {
     quick: bool,
@@ -383,248 +376,6 @@ fn bench_serve(args: &Args, data: &Dataset) {
     write_report(args, "serve", &fields);
 }
 
-/// Phase 4: closed-loop canary rollout over an in-process server. An
-/// active model fit on a warped response surface and a candidate version
-/// fit on the exact surface serve behind the canary router at 30%
-/// traffic; the bench drives the same predict stream through
-/// `handle_request` at 1 worker and `--threads` workers, asserting the
-/// lane assignment and every prediction are bit-identical (the routing
-/// hash is over request content, never scheduling), then feeds ground
-/// truth to `observe` until the shadow gate auto-promotes the canary.
-/// Records the canary share, predict throughput while the rollout is
-/// live, and observations-to-promotion — the serving-continuity numbers
-/// for the closed refresh loop.
-fn bench_canary(args: &Args) {
-    use emod_core::vars::COMPILER_PARAMS;
-    use emod_serve::artifact::{ArtifactMeta, ModelArtifact};
-    use emod_serve::json::Json;
-    use emod_serve::registry::ModelRegistry;
-    use emod_serve::rollout::{
-        route_hash, routes_to_canary, RolloutConfig, RolloutPhase, RolloutState,
-    };
-    use emod_serve::server::{handle_request, ServerState};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    println!("== canary: shadow-gated rollout routing ==");
-    let space = design_space();
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED + 3);
-    let train_raw = lhs(&space, 80, &mut rng);
-    let xs: Vec<Vec<f64>> = train_raw.iter().map(|p| space.encode(p)).collect();
-    let truth = |x: &[f64]| {
-        let compiler: f64 = x[..COMPILER_PARAMS].iter().sum();
-        let machine: f64 = x[COMPILER_PARAMS..].iter().sum();
-        5000.0 + 100.0 * compiler - 10.0 * machine
-    };
-    let ys_exact: Vec<f64> = xs.iter().map(|x| truth(x)).collect();
-    // The active model learned a warped surface; the canary learned the
-    // real one, so its shadow MAPE is strictly lower and the gate promotes.
-    let ys_warped: Vec<f64> = ys_exact
-        .iter()
-        .enumerate()
-        .map(|(i, y)| y * (1.0 + 0.08 * ((i as f64) * 0.7).sin()))
-        .collect();
-    let fit_artifact = |ys: &[f64], test_mape: f64| -> ModelArtifact {
-        let train = Dataset::new(xs.clone(), ys.to_vec()).expect("canary train set");
-        std::env::set_var(emod_par::THREADS_ENV, "1");
-        let model = SurrogateModel::fit(&train, ModelFamily::Linear).expect("linear fit");
-        std::env::remove_var(emod_par::THREADS_ENV);
-        ModelArtifact {
-            meta: ArtifactMeta {
-                workload: "gzip".into(),
-                input_set: "train".into(),
-                metric: "cycles".into(),
-                family: ModelFamily::Linear,
-                scale: "quick".into(),
-                seed: BENCH_SEED,
-                train_mape: 0.1,
-                test_mape,
-                train_size: xs.len(),
-                test_size: 20,
-            },
-            space: design_space(),
-            model,
-            quality: emod_quality::DesignSummary::from_design(&train),
-            train: train.clone(),
-            test: Dataset::new(xs[..20].to_vec(), ys[..20].to_vec()).expect("canary test set"),
-            history: vec![(xs.len(), test_mape)],
-        }
-    };
-    let active = fit_artifact(&ys_warped, 0.2);
-    let candidate = fit_artifact(&ys_exact, 0.05);
-    let base = active.id();
-
-    let dir = args.out.join("bench-canary-registry");
-    let _ = std::fs::remove_dir_all(&dir);
-    let registry =
-        Arc::new(ModelRegistry::open(&dir).unwrap_or_else(|e| die(&format!("registry: {}", e))));
-    registry
-        .store(&active)
-        .unwrap_or_else(|e| die(&format!("store active: {}", e)));
-    registry
-        .store_version(&candidate, 1)
-        .unwrap_or_else(|e| die(&format!("store canary: {}", e)));
-    let mut roll = RolloutState::steady(&base);
-    roll.phase = RolloutPhase::Canary;
-    roll.canary = Some(1);
-    roll.fraction = 0.3;
-    roll.record("canary_started", 1, "bench");
-    registry
-        .save_rollout(&roll)
-        .unwrap_or_else(|e| die(&format!("save rollout: {}", e)));
-    let cfg = RolloutConfig {
-        fraction: roll.fraction,
-        seed: BENCH_SEED,
-        min_obs: 32,
-        improve_margin: 0.0,
-        regress_margin: 0.5,
-        max_burn: f64::INFINITY,
-    };
-
-    let n_requests = if args.quick { 192 } else { 512 };
-    let queries = lhs(&space, n_requests, &mut rng);
-    let bodies: Vec<String> = queries
-        .iter()
-        .map(|p| {
-            let pt: Vec<String> = p.iter().map(|v| jnum(*v)).collect();
-            format!(
-                "{{\"cmd\":\"predict\",\"model\":\"{}\",\"point\":[{}]}}",
-                base,
-                pt.join(",")
-            )
-        })
-        .collect();
-
-    // Predicts don't mutate rollout state, so each pass gets a fresh
-    // in-process server over the same on-disk registry.
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let run_pass = |threads: usize| -> Vec<(String, u64)> {
-        std::env::set_var(emod_par::THREADS_ENV, threads.to_string());
-        let state = ServerState::new(Arc::clone(&registry), Arc::clone(&shutdown))
-            .with_rollout_cfg(cfg.clone());
-        let out = bodies
-            .iter()
-            .map(|body| {
-                let (resp, _) = handle_request(&state, body);
-                assert_eq!(
-                    resp.get("ok"),
-                    Some(&Json::Bool(true)),
-                    "predict failed during canary: {}",
-                    resp
-                );
-                let lane = resp
-                    .get("serving")
-                    .and_then(Json::as_str)
-                    .expect("canary-tracked predict carries a serving lane")
-                    .to_string();
-                let bits = resp
-                    .get("prediction")
-                    .and_then(Json::as_f64)
-                    .expect("numeric prediction")
-                    .to_bits();
-                (lane, bits)
-            })
-            .collect();
-        std::env::remove_var(emod_par::THREADS_ENV);
-        out
-    };
-    let (wall_seq, lanes_seq) = timed(args.reps, || run_pass(1));
-    let (wall_par, lanes_par) = timed(args.reps, || run_pass(args.threads));
-    let identical = lanes_seq == lanes_par;
-    assert!(identical, "canary routing diverged across worker counts");
-    // The served lanes must agree with the pure routing function — the
-    // determinism contract clients and replays rely on.
-    for (q, (lane, _)) in queries.iter().zip(&lanes_seq) {
-        let expect = routes_to_canary(
-            route_hash(cfg.seed, &base, std::slice::from_ref(q)),
-            roll.fraction,
-        );
-        assert_eq!(lane == "canary", expect, "router disagrees with route_hash");
-    }
-    let canary_requests = lanes_seq.iter().filter(|(l, _)| l == "canary").count();
-    let canary_share = canary_requests as f64 / n_requests as f64;
-    let rate = n_requests as f64 / wall_seq.max(1e-9);
-
-    // Shadow gating: feed exact ground truth until the gate promotes.
-    let state = ServerState::new(Arc::clone(&registry), Arc::clone(&shutdown))
-        .with_rollout_cfg(cfg.clone());
-    let mut observes = 0usize;
-    let mut promoted = false;
-    let gate_start = Instant::now();
-    'gate: while observes < 20 * cfg.min_obs {
-        for q in &queries {
-            let measured = truth(&space.encode(q));
-            let pt: Vec<String> = q.iter().map(|v| jnum(*v)).collect();
-            let body = format!(
-                "{{\"cmd\":\"observe\",\"model\":\"{}\",\"point\":[{}],\"measured\":{}}}",
-                base,
-                pt.join(","),
-                jnum(measured)
-            );
-            let (resp, _) = handle_request(&state, &body);
-            assert_eq!(
-                resp.get("ok"),
-                Some(&Json::Bool(true)),
-                "observe failed during canary: {}",
-                resp
-            );
-            observes += 1;
-            let verdict = resp
-                .get("rollout")
-                .and_then(|r| r.get("verdict"))
-                .and_then(Json::as_str);
-            match verdict {
-                Some("promote") => {
-                    promoted = true;
-                    break 'gate;
-                }
-                Some("rollback") => die("shadow gate rolled the bench canary back"),
-                _ => {}
-            }
-        }
-    }
-    let gate_wall = gate_start.elapsed().as_secs_f64();
-    assert!(promoted, "shadow gate never promoted the bench canary");
-    let final_state = registry
-        .load_rollout(&base)
-        .ok()
-        .flatten()
-        .expect("rollout state persisted");
-    assert_eq!(final_state.phase, RolloutPhase::Steady);
-    assert_eq!(final_state.active, 1, "promotion made v1 active");
-
-    println!(
-        "  {} predicts  canary share {:.1}%  seq {:.3}s ({:.0}/s)  par×{} {:.3}s  identical {}",
-        n_requests,
-        100.0 * canary_share,
-        wall_seq,
-        rate,
-        args.threads,
-        wall_par,
-        identical
-    );
-    println!(
-        "  promoted after {} observations in {:.3}s (min_obs {})",
-        observes, gate_wall, cfg.min_obs
-    );
-
-    let mut fields = common_fields(args, args.reps, "canary");
-    fields.extend([
-        ("requests", n_requests.to_string()),
-        ("canary_fraction", jnum(roll.fraction)),
-        ("canary_share", jnum(canary_share)),
-        ("wall_s_seq", jnum(wall_seq)),
-        ("wall_s_par", jnum(wall_par)),
-        ("predictions_per_sec", jnum(rate)),
-        ("observes_to_promote", observes.to_string()),
-        ("gate_wall_s", jnum(gate_wall)),
-        ("identical", identical.to_string()),
-        ("promoted", promoted.to_string()),
-    ]);
-    write_report(args, "canary", &fields);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn main() {
     let args = parse_args();
     // Bench hygiene: a leftover checkpoint would turn the second campaign
@@ -650,9 +401,6 @@ fn main() {
         bench_serve(&args, &data);
     } else if args.phase_enabled("train") {
         bench_train(&args, true);
-    }
-    if args.phase_enabled("canary") {
-        bench_canary(&args);
     }
 
     if let (Some(min), Some(measure_speedup)) = (args.check_speedup, measure_speedup) {

@@ -5,7 +5,6 @@
 //! emod-trace flame   <file.jsonl>...                   self-time table per span path
 //! emod-trace diff    <a.jsonl> <b.jsonl> [--threshold PCT]
 //! emod-trace quality <file.jsonl>...                   model-quality summary
-//! emod-trace rollout <file.jsonl>...                   canary-rollout lifecycle report
 //! emod-trace bench   <BENCH_HISTORY.jsonl>... [--window N] [--threshold PCT] [--warn-only]
 //! ```
 //!
@@ -17,14 +16,11 @@
 //! than the threshold (default 20%), so CI can gate on it. `quality`
 //! distills the server's `quality.prediction`/`quality.observation`/
 //! `quality_warn` events into extrapolation, disagreement, and
-//! accuracy-drift summaries per model. `rollout` distills the server's
-//! `rollout.*` lifecycle events (refresh enqueues, candidates, canary
-//! starts, promotions, rollbacks) into a timeline — the post-mortem view
-//! of a closed-loop model refresh. `bench`
-//! reads `BENCH_HISTORY.jsonl` run history, prints per-metric trendlines,
-//! and **exits 1** when a windowed mean-shift finds a step regression in
-//! any judged metric (throughput down, p99/wall time up) — the CI gate
-//! over committed bench baselines; `--warn-only` reports without failing.
+//! accuracy-drift summaries per model. `bench` reads `BENCH_HISTORY.jsonl`
+//! run history, prints per-metric trendlines, and **exits 1** when a
+//! windowed mean-shift finds a step regression in any judged metric
+//! (throughput down, p99/wall time up) — the CI gate over committed bench
+//! baselines; `--warn-only` reports without failing.
 //!
 //! Exit codes: 0 clean, 1 diff/bench found a regression, 2 usage/I/O
 //! error.
@@ -40,7 +36,6 @@ fn usage(err: &str) -> ExitCode {
     eprintln!("       emod-trace flame   <file.jsonl>...");
     eprintln!("       emod-trace diff    <a.jsonl> <b.jsonl> [--threshold PCT]");
     eprintln!("       emod-trace quality <file.jsonl>...");
-    eprintln!("       emod-trace rollout <file.jsonl>...");
     eprintln!(
         "       emod-trace bench   <BENCH_HISTORY.jsonl>... [--window N] [--threshold PCT] [--warn-only]"
     );
@@ -192,18 +187,6 @@ fn main() -> ExitCode {
             match read_all_events(&files) {
                 Ok(events) => {
                     emit(&trace::render_quality(&trace::summarize_quality(&events)));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => usage(&e),
-            }
-        }
-        "rollout" => {
-            if files.is_empty() {
-                return usage("rollout needs at least one JSONL file");
-            }
-            match read_all_events(&files) {
-                Ok(events) => {
-                    emit(&trace::render_rollout(&trace::summarize_rollout(&events)));
                     ExitCode::SUCCESS
                 }
                 Err(e) => usage(&e),

@@ -2,8 +2,9 @@
 //!
 //! `BENCH_HISTORY.jsonl` accumulates one flat JSON object per bench run —
 //! the `bench` binary and `emod-load --history` both append to it. Each
-//! line carries a `bench` phase name (`measure`, `train`, `serve`,
-//! `canary`, `load`), a `schema` version, and that run's numeric results.
+//! line carries a `bench` phase name (`measure`, `train`, `serve`, `load`;
+//! older lines also `canary`, a removed phase), a `schema` version, and
+//! that run's numeric results.
 //! This module turns the file into per-`(bench, metric)` series (file
 //! order == time order), fits a linear trendline to each, and flags
 //! **step regressions** with a windowed mean-shift test: the mean of the

@@ -621,112 +621,6 @@ pub fn render_quality(r: &QualityReport) -> String {
     out
 }
 
-/// One lifecycle event on the timeline of a [`RolloutReport`].
-#[derive(Debug, Clone)]
-pub struct RolloutEventRow {
-    /// Timestamp, microseconds since the telemetry epoch.
-    pub ts_us: f64,
-    /// Event name (`candidate_published`, `canary_started`, `promoted`,
-    /// `rolled_back`).
-    pub name: String,
-    /// Base artifact id the rollout belongs to.
-    pub base: String,
-    /// Version the event concerns (0 when unknown).
-    pub version: u64,
-    /// Free-form detail: rollback reason, canary fraction, test MAPE.
-    pub detail: String,
-}
-
-/// A closed-loop rollout report distilled from telemetry events: refresh
-/// enqueues, candidates published, canaries started, and how each rollout
-/// ended (promoted or rolled back), with the full lifecycle timeline.
-#[derive(Debug, Default)]
-pub struct RolloutReport {
-    /// `rollout.refresh_enqueued` events — design points fed to the loop.
-    pub enqueued: usize,
-    /// `rollout.candidate_published` events.
-    pub candidates: usize,
-    /// `rollout.canary_started` events.
-    pub canaries: usize,
-    /// `rollout.promoted` events.
-    pub promotions: usize,
-    /// `rollout.rolled_back` events.
-    pub rollbacks: usize,
-    /// Lifecycle events in stream order (enqueues are counted, not listed).
-    pub timeline: Vec<RolloutEventRow>,
-}
-
-/// Distills the rollout lifecycle out of a telemetry stream.
-pub fn summarize_rollout(events: &[EventRec]) -> RolloutReport {
-    let mut r = RolloutReport::default();
-    for e in events.iter().filter(|e| e.subsystem == "rollout") {
-        match e.name.as_str() {
-            "refresh_enqueued" => {
-                r.enqueued += 1;
-                continue;
-            }
-            "candidate_published" => r.candidates += 1,
-            "canary_started" => r.canaries += 1,
-            "promoted" => r.promotions += 1,
-            "rolled_back" => r.rollbacks += 1,
-            _ => continue,
-        }
-        let reason = e.text("reason").unwrap_or("");
-        let detail = match (e.text("stage"), e.name.as_str()) {
-            (Some(stage), _) => format!("{}: {}", stage, reason),
-            (None, "canary_started") => e
-                .num("fraction")
-                .map(|f| format!("fraction={}", f))
-                .unwrap_or_else(|| reason.to_string()),
-            (None, "candidate_published") => e
-                .num("test_mape")
-                .map(|m| format!("test mape {:.2}%", m))
-                .unwrap_or_else(|| reason.to_string()),
-            _ => reason.to_string(),
-        };
-        r.timeline.push(RolloutEventRow {
-            ts_us: e.ts_us,
-            name: e.name.clone(),
-            base: e.text("base").unwrap_or("?").to_string(),
-            version: e.num("version").unwrap_or(0.0) as u64,
-            detail,
-        });
-    }
-    r
-}
-
-/// Renders the rollout report as the `emod-trace rollout` text output.
-pub fn render_rollout(r: &RolloutReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "rollout summary");
-    let _ = writeln!(
-        out,
-        "  enqueued: {}  candidates: {}  canaries: {}  promoted: {}  rolled back: {}",
-        r.enqueued, r.candidates, r.canaries, r.promotions, r.rollbacks
-    );
-    if r.timeline.is_empty() {
-        let _ = writeln!(out, "  no rollout lifecycle events in this stream");
-        return out;
-    }
-    let t0 = r.timeline.first().map(|e| e.ts_us).unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "\n  {:>9}  {:<20}  {:<28}  detail",
-        "t", "event", "artifact"
-    );
-    for row in &r.timeline {
-        let _ = writeln!(
-            out,
-            "  {:>8.3}s  {:<20}  {:<28}  {}",
-            (row.ts_us - t0) / 1e6,
-            row.name,
-            format!("{}@v{}", row.base, row.version),
-            row.detail
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,37 +787,5 @@ mod tests {
         let text = render_quality(&r);
         assert!(text.contains("no samples"), "{}", text);
         assert!(text.contains("no rolling MAPE yet"), "{}", text);
-    }
-
-    #[test]
-    fn rollout_summary_distills_lifecycle_events() {
-        let stream = [
-            r#"{"ts_us":10,"kind":"event","subsystem":"rollout","name":"refresh_enqueued","fields":{"base":"m","extrapolation":2.5,"pending":1}}"#,
-            r#"{"ts_us":20,"kind":"event","subsystem":"rollout","name":"candidate_published","fields":{"base":"m","version":1,"measured":3,"train_size":83,"test_mape":4.2}}"#,
-            r#"{"ts_us":30,"kind":"event","subsystem":"rollout","name":"canary_started","fields":{"base":"m","version":1,"fraction":0.2}}"#,
-            r#"{"ts_us":40,"kind":"event","subsystem":"rollout","name":"rolled_back","fields":{"base":"m","version":1,"stage":"retrain","reason":"injected fault"}}"#,
-            r#"{"ts_us":50,"kind":"event","subsystem":"rollout","name":"promoted","fields":{"base":"m","version":2,"reason":"shadow mape improved"}}"#,
-            r#"{"ts_us":60,"kind":"event","subsystem":"quality","name":"prediction","fields":{"model":"m"}}"#,
-        ]
-        .join("\n");
-        let p = parse_jsonl(&stream);
-        let r = summarize_rollout(&p.events);
-        assert_eq!(r.enqueued, 1);
-        assert_eq!(r.candidates, 1);
-        assert_eq!(r.canaries, 1);
-        assert_eq!(r.rollbacks, 1);
-        assert_eq!(r.promotions, 1);
-        // Enqueues are counted but kept off the timeline.
-        assert_eq!(r.timeline.len(), 4);
-        assert_eq!(r.timeline[2].detail, "retrain: injected fault");
-        assert_eq!(r.timeline[3].version, 2);
-
-        let text = render_rollout(&r);
-        assert!(text.contains("rolled back: 1"), "{}", text);
-        assert!(text.contains("m@v1"), "{}", text);
-        assert!(text.contains("retrain: injected fault"), "{}", text);
-
-        let empty = render_rollout(&summarize_rollout(&[]));
-        assert!(empty.contains("no rollout lifecycle events"), "{}", empty);
     }
 }

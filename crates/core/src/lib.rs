@@ -44,7 +44,6 @@ pub mod checkpoint;
 pub mod interpret;
 pub mod measure;
 pub mod model;
-pub mod refresh;
 pub mod tune;
 pub mod vars;
 
@@ -52,5 +51,4 @@ pub use builder::{BuildConfig, BuiltModel, ModelBuilder};
 pub use checkpoint::{Checkpoint, CheckpointEntry, CHECKPOINT_ENV};
 pub use measure::{MeasureError, Measurer, Metric};
 pub use model::{ModelFamily, SurrogateModel};
-pub use refresh::{augment_design, RefreshQueue, REFRESH_DIR_ENV};
 pub use vars::{decode_point, design_space, DesignPointExt};

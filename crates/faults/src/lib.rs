@@ -11,11 +11,9 @@
 //!   `kind:site[:arg[:trigger]]` entries, e.g.
 //!   `io_error:registry.store:0.05,delay:serve.handle:200ms,panic:sim.run:once`.
 //! * Probed code calls [`inject`] with its **site** name. Current sites:
-//!   `sim.run`, `serve.handle`, `registry.store`, `registry.load`,
-//!   `registry.activate` (rollout-state save), `retrain.fit` (refresh
-//!   retraining), and `canary.promote` (canary promotion). When a matching
-//!   entry fires, the probe sleeps (`delay`), panics (`panic`), or returns
-//!   an injected [`std::io::Error`] (`io_error`).
+//!   `sim.run`, `serve.handle`, `registry.store` and `registry.load`. When
+//!   a matching entry fires, the probe sleeps (`delay`), panics (`panic`),
+//!   or returns an injected [`std::io::Error`] (`io_error`).
 //! * **Triggers** make runs reproducible: `once` (first probe only), `always`,
 //!   `<N>x` (first N probes), or a probability like `0.05` drawn from a
 //!   [splitmix64](https://prng.di.unimi.it/splitmix64.c) stream seeded by

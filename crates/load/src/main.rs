@@ -14,8 +14,8 @@
 //! emits the deterministic schedule (and its digest) without touching the
 //! network — the determinism-smoke path. `--max-error-rate X` exits 1
 //! when the measured error rate exceeds `X`. `--bench-label NAME` stamps
-//! reports/history lines with a scenario-specific `"bench"` label so runs
-//! like the CI canary-smoke load trend in their own series.
+//! reports/history lines with a scenario-specific `"bench"` label so a
+//! scenario's runs trend in their own series.
 
 use emod_load::{
     append_history, build_report, build_schedule, history_line, run, schedule_digest, Arrival,

@@ -190,9 +190,9 @@ pub struct LoadConfig {
     /// Not part of the schedule.
     pub timeout_s: f64,
     /// The `"bench"` label stamped on reports and history lines
-    /// (`--bench-label`). Distinct labels keep scenario runs — e.g. the CI
-    /// canary-smoke load — in their own `emod-trace bench` series instead
-    /// of polluting the default `load` baseline. Not part of the schedule.
+    /// (`--bench-label`). Distinct labels keep scenario runs in their own
+    /// `emod-trace bench` series instead of polluting the default `load`
+    /// baseline. Not part of the schedule.
     pub bench_label: String,
 }
 

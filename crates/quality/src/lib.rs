@@ -403,67 +403,6 @@ pub fn shadow_capacity() -> usize {
     })
 }
 
-/// Extrapolation score at or above which a serving-time query point is
-/// enqueued for background measurement and model refresh
-/// (`EMOD_REFRESH_ENQUEUE`, default = [`extrap_warn_threshold`]).
-pub fn refresh_enqueue_threshold() -> f64 {
-    static CACHE: OnceLock<f64> = OnceLock::new();
-    *CACHE.get_or_init(|| env_f64("EMOD_REFRESH_ENQUEUE", extrap_warn_threshold()))
-}
-
-/// The rollout gate's decision after comparing the canary's shadow accuracy
-/// against the active version's on the same ground-truth stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShadowVerdict {
-    /// Not enough paired observations yet, or the difference is within the
-    /// configured margins — keep canarying.
-    Hold,
-    /// The canary's rolling MAPE beats the active version's by at least the
-    /// improvement margin over enough observations — safe to promote.
-    Promote,
-    /// The canary's rolling MAPE is worse than the active version's by more
-    /// than the regression margin — roll back.
-    Rollback,
-}
-
-/// Compares per-version shadow MAPE (both scored against the same `observe`
-/// ground truth) and renders the canary gate's verdict.
-///
-/// * `pairs` below `min_pairs` always holds — one lucky observation must not
-///   promote a model.
-/// * A canary MAPE more than `regress_margin` percentage points above the
-///   active MAPE rolls back (checked first: regression beats promotion).
-/// * A canary MAPE at least `improve_margin` points below the active MAPE
-///   promotes.
-///
-/// Margins are in MAPE percentage points, matching [`ShadowRing::mape`].
-/// Deterministic: a pure function of its inputs.
-pub fn shadow_verdict(
-    active_mape: Option<f64>,
-    canary_mape: Option<f64>,
-    pairs: usize,
-    min_pairs: usize,
-    improve_margin: f64,
-    regress_margin: f64,
-) -> ShadowVerdict {
-    if pairs < min_pairs.max(1) {
-        return ShadowVerdict::Hold;
-    }
-    let (Some(active), Some(canary)) = (active_mape, canary_mape) else {
-        return ShadowVerdict::Hold;
-    };
-    if !active.is_finite() || !canary.is_finite() {
-        return ShadowVerdict::Hold;
-    }
-    if canary > active + regress_margin.max(0.0) {
-        ShadowVerdict::Rollback
-    } else if canary + improve_margin.max(0.0) <= active {
-        ShadowVerdict::Promote
-    } else {
-        ShadowVerdict::Hold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,53 +549,5 @@ mod tests {
         assert_eq!(extrap_warn_threshold(), 3.0);
         assert_eq!(disagree_warn_threshold(), 0.25);
         assert_eq!(shadow_capacity(), 512);
-        assert_eq!(refresh_enqueue_threshold(), extrap_warn_threshold());
-    }
-
-    #[test]
-    fn shadow_verdict_holds_below_min_pairs() {
-        assert_eq!(
-            shadow_verdict(Some(10.0), Some(1.0), 3, 8, 0.0, 1.0),
-            ShadowVerdict::Hold
-        );
-        // Missing MAPE on either side never decides.
-        assert_eq!(
-            shadow_verdict(None, Some(1.0), 20, 8, 0.0, 1.0),
-            ShadowVerdict::Hold
-        );
-        assert_eq!(
-            shadow_verdict(Some(1.0), None, 20, 8, 0.0, 1.0),
-            ShadowVerdict::Hold
-        );
-    }
-
-    #[test]
-    fn shadow_verdict_promotes_and_rolls_back_on_margins() {
-        // Better by at least the improvement margin → promote.
-        assert_eq!(
-            shadow_verdict(Some(10.0), Some(9.5), 8, 8, 0.5, 1.0),
-            ShadowVerdict::Promote
-        );
-        // Better but not by enough → hold.
-        assert_eq!(
-            shadow_verdict(Some(10.0), Some(9.8), 8, 8, 0.5, 1.0),
-            ShadowVerdict::Hold
-        );
-        // Worse past the regression margin → rollback.
-        assert_eq!(
-            shadow_verdict(Some(10.0), Some(11.5), 8, 8, 0.0, 1.0),
-            ShadowVerdict::Rollback
-        );
-        // Worse within the margin → hold (regression beats promotion only
-        // when it actually crosses the line).
-        assert_eq!(
-            shadow_verdict(Some(10.0), Some(10.5), 8, 8, 0.0, 1.0),
-            ShadowVerdict::Hold
-        );
-        // Non-finite inputs never decide.
-        assert_eq!(
-            shadow_verdict(Some(f64::NAN), Some(1.0), 8, 8, 0.0, 1.0),
-            ShadowVerdict::Hold
-        );
     }
 }

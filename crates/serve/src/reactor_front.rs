@@ -321,7 +321,7 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
     let (tx, rx) = mpsc::channel::<Job>();
     let rx = Arc::new(Mutex::new(rx));
     let done: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut handles = Vec::with_capacity(workers + 1);
+    let mut handles = Vec::with_capacity(workers);
     for i in 0..workers {
         let rx = Arc::clone(&rx);
         let state = Arc::clone(&state);
@@ -332,9 +332,6 @@ pub(crate) fn run(server: Server, state: Arc<ServerState>) -> io::Result<()> {
                 .name(format!("emod-reactor-worker-{}", i))
                 .spawn(move || worker_loop(&rx, &state, &done, &waker))?,
         );
-    }
-    if let Some(h) = crate::server::spawn_refresh_worker(&state)? {
-        handles.push(h);
     }
 
     let mut conns: HashMap<Token, Conn> = HashMap::new();

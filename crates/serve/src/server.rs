@@ -10,9 +10,8 @@
 //! a refusal once the drain has begun), and the handler threads exit.
 //!
 //! Commands: `list_models`, `predict`, `predict_batch`, `explain`, `tune`,
-//! `observe`, `refresh`, `rollout`, `promote`, `rollback`, `stats`,
-//! `health`, `metrics`, `shutdown` — see the README "Serving" section for
-//! the wire format.
+//! `observe`, `stats`, `health`, `metrics`, `shutdown` — see the README
+//! "Serving" section for the wire format.
 //!
 //! Observability: every request runs inside its own telemetry trace
 //! ([`emod_telemetry::trace_root`]), so spans opened by the handler (the
@@ -40,8 +39,7 @@
 //! `EMOD_MAX_INFLIGHT` with `overloaded`; requests running past
 //! `EMOD_DEADLINE_MS` answer `deadline_exceeded`. Error replies carry a
 //! machine-readable `"code"` and a `"retryable"` hint the client-side
-//! retry loop keys off. Fault probes: `serve.handle`, plus `retrain.fit`,
-//! `registry.activate` and `canary.promote` on the refresh/rollout path.
+//! retry loop keys off. Fault probe: `serve.handle`.
 //!
 //! Model quality (see DESIGN.md §12): every `predict`/`explain` scores how
 //! far the query extrapolates beyond the artifact's training design
@@ -50,19 +48,10 @@
 //! `EMOD_EXTRAP_WARN`/`EMOD_DISAGREE_WARN` emit `quality_warn` events and
 //! tag the access log. `observe` feeds ground-truth measurements back into
 //! a bounded shadow ring, exporting rolling-MAPE/max-error drift gauges.
-//!
-//! Closed loop (see DESIGN.md §15): with `EMOD_REFRESH`/`EMOD_REFRESH_DIR`
-//! set, extrapolating queries are enqueued into a crash-safe refresh queue
-//! and `refresh` cycles retrain and publish versioned candidates that roll
-//! out as canaries — a deterministic content-hash fraction of traffic
-//! (`EMOD_CANARY_*`) shadow-scored against the active version on `observe`
-//! ground truth, auto-promoted on improvement and auto-rolled-back on
-//! regression, SLO burn, or any injected fault.
 
 use crate::artifact::{family_from_name, family_slug, ModelArtifact, FORMAT_VERSION};
 use crate::json::Json;
-use crate::registry::{split_version, version_id, ModelRegistry};
-use crate::rollout::{route_hash, routes_to_canary, RolloutConfig, RolloutPhase, RolloutState};
+use crate::registry::ModelRegistry;
 use crate::slo::{SloConfig, SloSnapshot, SloTracker};
 use emod_compiler::OptConfig;
 use emod_core::model::ModelFamily;
@@ -70,16 +59,13 @@ use emod_core::tune::{reference_configs, search_flags_surrogate};
 use emod_core::vars::{encode_point, COMPILER_PARAMS};
 use emod_faults as faults;
 use emod_models::Regressor;
-use emod_quality::{disagreement, shadow_verdict, PredictionLog, ShadowRing, ShadowVerdict};
+use emod_quality::{disagreement, PredictionLog, ShadowRing};
 use emod_telemetry as telemetry;
-use std::collections::HashMap;
 use std::io;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default port the server binds when none is given.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7733";
@@ -107,10 +93,6 @@ const COMMANDS: &[&str] = &[
     "explain",
     "tune",
     "observe",
-    "rollout",
-    "promote",
-    "rollback",
-    "refresh",
     "stats",
     "health",
     "metrics",
@@ -141,35 +123,6 @@ pub struct ServerState {
     deadline_ms: Option<u64>,
     quality: Mutex<QualityState>,
     slo: Mutex<SloTracker>,
-    rollout_cfg: RolloutConfig,
-    /// Per-base rollout cache: `None` caches "no rollout on disk" so the
-    /// hot predict path stats the registry at most once per base.
-    rollouts: Mutex<HashMap<String, Option<RolloutEntry>>>,
-    /// Refresh queue directory; `None` disables the closed loop entirely.
-    refresh_dir: Option<PathBuf>,
-    /// Serializes refresh cycles (they measure + retrain, i.e. seconds).
-    refresh_busy: AtomicBool,
-}
-
-/// Cached rollout state for one base artifact, plus the per-lane shadow
-/// rings the canary gate scores from. The rings live beside the state (not
-/// in `QualityState`) so a rollback resets them atomically with the phase.
-#[derive(Debug)]
-struct RolloutEntry {
-    state: RolloutState,
-    active_shadow: ShadowRing,
-    canary_shadow: ShadowRing,
-}
-
-impl RolloutEntry {
-    fn new(state: RolloutState) -> RolloutEntry {
-        let cap = emod_quality::shadow_capacity();
-        RolloutEntry {
-            state,
-            active_shadow: ShadowRing::new(cap),
-            canary_shadow: ShadowRing::new(cap),
-        }
-    }
 }
 
 /// Shadow accuracy state: recent predictions (so a later ground-truth
@@ -198,7 +151,6 @@ impl ServerState {
             .and_then(|s| s.trim().parse::<u64>().ok())
             .filter(|&n| n > 0);
         let cap = emod_quality::shadow_capacity();
-        let refresh_dir = refresh_dir_from_env(&registry);
         ServerState {
             registry,
             shutdown,
@@ -211,10 +163,6 @@ impl ServerState {
                 shadow: ShadowRing::new(cap),
             }),
             slo: Mutex::new(SloTracker::new(SloConfig::from_env())),
-            rollout_cfg: RolloutConfig::from_env(),
-            rollouts: Mutex::new(HashMap::new()),
-            refresh_dir,
-            refresh_busy: AtomicBool::new(false),
         }
     }
 
@@ -250,99 +198,6 @@ impl ServerState {
         self
     }
 
-    /// Overrides the canary/rollout tuning (tests; production uses the
-    /// `EMOD_CANARY_*` environment knobs).
-    pub fn with_rollout_cfg(mut self, cfg: RolloutConfig) -> ServerState {
-        self.rollout_cfg = cfg;
-        self
-    }
-
-    /// Enables (or disables) the closed refresh loop with an explicit
-    /// queue directory (tests; production uses `EMOD_REFRESH` /
-    /// `EMOD_REFRESH_DIR`).
-    pub fn with_refresh_dir(mut self, dir: Option<PathBuf>) -> ServerState {
-        self.refresh_dir = dir;
-        self
-    }
-
-    /// Runs `f` over the cached rollout entry for `base`, loading the
-    /// persisted state on first access. Returns `None` when `base` has no
-    /// rollout (the common case — cached negatively so the hot predict
-    /// path stats the registry at most once per base).
-    fn with_rollout<R>(&self, base: &str, f: impl FnOnce(&mut RolloutEntry) -> R) -> Option<R> {
-        let mut map = telemetry::lock_or_recover(&self.rollouts);
-        let slot = map.entry(base.to_string()).or_insert_with(|| {
-            self.registry
-                .load_rollout(base)
-                .ok()
-                .flatten()
-                .map(RolloutEntry::new)
-        });
-        slot.as_mut().map(f)
-    }
-
-    /// Replaces the cached entry for `base` with the persisted state —
-    /// used after a refresh cycle mutated the registry outside the cache.
-    fn reload_rollout(&self, base: &str) {
-        let fresh = self
-            .registry
-            .load_rollout(base)
-            .ok()
-            .flatten()
-            .map(RolloutEntry::new);
-        telemetry::lock_or_recover(&self.rollouts).insert(base.to_string(), fresh);
-    }
-
-    /// If the closed loop is enabled and the query's extrapolation score
-    /// crossed `EMOD_REFRESH_ENQUEUE`, enqueue the raw point for
-    /// re-measurement by the next refresh cycle.
-    fn maybe_enqueue_refresh(&self, base: &str, raw: &[f64], extrapolation: Option<f64>) {
-        let dir = match &self.refresh_dir {
-            Some(d) => d,
-            None => return,
-        };
-        let score = match extrapolation {
-            Some(s) if s.is_finite() => s,
-            _ => return,
-        };
-        if score < emod_quality::refresh_enqueue_threshold() {
-            return;
-        }
-        match emod_core::refresh::RefreshQueue::open(dir, base) {
-            Ok(mut q) => {
-                if q.enqueue(raw) {
-                    telemetry::counter_add("serve.rollout.enqueued", 1);
-                    telemetry::event(
-                        "rollout",
-                        "refresh_enqueued",
-                        &[
-                            ("base", base.into()),
-                            ("extrapolation", score.into()),
-                            ("pending", (q.pending_len() as f64).into()),
-                        ],
-                    );
-                }
-            }
-            Err(e) => eprintln!("emod-serve: refresh enqueue failed for {}: {}", base, e),
-        }
-    }
-
-    /// Runs one refresh cycle for `base`, serialized process-wide (cycles
-    /// measure and retrain — seconds, not microseconds), then refreshes
-    /// the rollout cache from the state the cycle persisted.
-    fn run_refresh(&self, base: &str) -> Result<crate::refresh::RefreshOutcome, String> {
-        let dir = self.refresh_dir.clone().ok_or_else(|| {
-            "refresh loop disabled (set EMOD_REFRESH=1 or EMOD_REFRESH_DIR)".to_string()
-        })?;
-        if self.refresh_busy.swap(true, Ordering::SeqCst) {
-            return Err("a refresh cycle is already running".to_string());
-        }
-        let out = crate::refresh::run_refresh_cycle(&self.registry, base, &dir, &self.rollout_cfg);
-        self.refresh_busy.store(false, Ordering::SeqCst);
-        self.reload_rollout(base);
-        out
-    }
-
     /// Whether a graceful shutdown has been requested (command, handle, or
     /// signal).
     pub fn shutting_down(&self) -> bool {
@@ -371,205 +226,6 @@ impl ServerState {
     fn should_shed(&self, cmd: &str, in_flight_now: u64) -> bool {
         in_flight_now > self.max_inflight && !matches!(cmd, "health" | "shutdown")
     }
-}
-
-/// Resolves the refresh-queue directory from `EMOD_REFRESH` /
-/// `EMOD_REFRESH_DIR`: either knob enables the closed loop, and the
-/// directory defaults to `<registry>/refresh`.
-fn refresh_dir_from_env(registry: &ModelRegistry) -> Option<PathBuf> {
-    if let Ok(dir) = std::env::var(emod_core::REFRESH_DIR_ENV) {
-        let dir = dir.trim();
-        if !dir.is_empty() {
-            return Some(PathBuf::from(dir));
-        }
-    }
-    let on = std::env::var("EMOD_REFRESH")
-        .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false);
-    if on {
-        Some(registry.root().join("refresh"))
-    } else {
-        None
-    }
-}
-
-/// One poll of the background refresh worker: for every registered base
-/// whose refresh queue holds at least `min_points` pending points and
-/// whose rollout is steady, run one refresh cycle. A live canary defers
-/// its base — it must promote or roll back before the next candidate.
-fn refresh_tick(state: &ServerState, min_points: usize) {
-    let dir = match &state.refresh_dir {
-        Some(d) => d.clone(),
-        None => return,
-    };
-    let ids = match state.registry.list() {
-        Ok(ids) => ids,
-        Err(_) => return,
-    };
-    for base in ids {
-        if state.shutting_down() {
-            return;
-        }
-        if !emod_core::refresh::RefreshQueue::path_for(&dir, &base).exists() {
-            continue;
-        }
-        let pending = match emod_core::refresh::RefreshQueue::open(&dir, &base) {
-            Ok(q) => q.pending_len(),
-            Err(_) => continue,
-        };
-        if pending < min_points {
-            continue;
-        }
-        let steady = state
-            .with_rollout(&base, |e| e.state.phase == RolloutPhase::Steady)
-            .unwrap_or(true);
-        if !steady {
-            continue;
-        }
-        match state.run_refresh(&base) {
-            Ok(out) => eprintln!(
-                "emod-serve: auto-refresh published {}@v{} ({} points, test mape {:.2}%)",
-                base, out.version, out.measured, out.test_mape
-            ),
-            Err(e) => eprintln!("emod-serve: auto-refresh of {} failed: {}", base, e),
-        }
-    }
-}
-
-/// Spawns the optional background refresh worker: with
-/// `EMOD_REFRESH_AUTO` set (and the closed loop enabled), a polling
-/// thread drains refresh queues that have accumulated
-/// `EMOD_REFRESH_MIN_POINTS` points, running one measure→retrain→canary
-/// cycle per eligible base.
-pub(crate) fn spawn_refresh_worker(
-    state: &Arc<ServerState>,
-) -> io::Result<Option<thread::JoinHandle<()>>> {
-    let auto_refresh = state.refresh_dir.is_some()
-        && std::env::var("EMOD_REFRESH_AUTO")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on" | "yes"))
-            .unwrap_or(false);
-    if !auto_refresh {
-        return Ok(None);
-    }
-    let state = Arc::clone(state);
-    let poll_ms = std::env::var("EMOD_REFRESH_POLL_MS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(500);
-    let min_points = std::env::var("EMOD_REFRESH_MIN_POINTS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4);
-    let handle = thread::Builder::new()
-        .name("emod-serve-refresh".to_string())
-        .spawn(move || {
-            while !state.shutting_down() {
-                thread::sleep(Duration::from_millis(poll_ms));
-                refresh_tick(&state, min_points);
-            }
-        })?;
-    Ok(Some(handle))
-}
-
-/// Publishes the rollout gauges (`serve.rollout.*`) for the given state.
-/// Phase is encoded numerically: steady 0, candidate 1, canary 2; a
-/// missing canary version reads -1.
-fn publish_rollout_gauges(state: &RolloutState) {
-    let phase = match state.phase {
-        RolloutPhase::Steady => 0.0,
-        RolloutPhase::Candidate => 1.0,
-        RolloutPhase::Canary => 2.0,
-    };
-    telemetry::gauge_set("serve.rollout.phase", phase);
-    telemetry::gauge_set("serve.rollout.active_version", state.active as f64);
-    telemetry::gauge_set(
-        "serve.rollout.canary_version",
-        state.canary.map(|v| v as f64).unwrap_or(-1.0),
-    );
-    telemetry::gauge_set("serve.rollout.canary_fraction", state.fraction);
-}
-
-/// Promotes the entry's canary to active. Both the `canary.promote` fault
-/// probe and the state save gate the transition — failure at either point
-/// auto-rolls-back to the last-known-good active version instead.
-fn promote_entry(
-    registry: &ModelRegistry,
-    entry: &mut RolloutEntry,
-    reason: &str,
-) -> Result<u64, String> {
-    let version = match entry.state.canary {
-        Some(v) => v,
-        None => return Err("no canary version to promote".to_string()),
-    };
-    // The probe sits inside catch_panic so an injected `panic:canary.promote`
-    // exercises the same auto-rollback as an I/O failure.
-    let attempt = faults::catch_panic(|| {
-        faults::inject("canary.promote").map_err(|e| e.to_string())?;
-        let mut next = entry.state.clone();
-        next.prev = Some(next.active);
-        next.active = version;
-        next.canary = None;
-        next.phase = RolloutPhase::Steady;
-        next.record("promoted", version, reason);
-        registry.save_rollout(&next).map_err(|e| e.to_string())?;
-        Ok(next)
-    })
-    .and_then(|r| r);
-    match attempt {
-        Ok(next) => {
-            entry.state = next;
-            let cap = emod_quality::shadow_capacity();
-            entry.active_shadow = ShadowRing::new(cap);
-            entry.canary_shadow = ShadowRing::new(cap);
-            telemetry::counter_add("serve.rollout.promotions", 1);
-            telemetry::event(
-                "rollout",
-                "promoted",
-                &[
-                    ("base", entry.state.base.as_str().into()),
-                    ("version", (version as f64).into()),
-                    ("reason", reason.into()),
-                ],
-            );
-            publish_rollout_gauges(&entry.state);
-            Ok(version)
-        }
-        Err(e) => {
-            rollback_entry(registry, entry, &format!("promote failed: {}", e));
-            Err(e)
-        }
-    }
-}
-
-/// Rolls the entry back to steady serving on the active version. The
-/// in-memory state flips first — serving degrades to last-known-good even
-/// if persisting the rollback itself fails.
-fn rollback_entry(registry: &ModelRegistry, entry: &mut RolloutEntry, reason: &str) -> Option<u64> {
-    let version = entry.state.canary?;
-    entry.state.phase = RolloutPhase::Steady;
-    entry.state.canary = None;
-    entry.state.record("rolled_back", version, reason);
-    entry.canary_shadow = ShadowRing::new(emod_quality::shadow_capacity());
-    telemetry::counter_add("serve.rollout.rollbacks", 1);
-    telemetry::event(
-        "rollout",
-        "rolled_back",
-        &[
-            ("base", entry.state.base.as_str().into()),
-            ("version", (version as f64).into()),
-            ("reason", reason.into()),
-        ],
-    );
-    if let Err(e) = registry.save_rollout(&entry.state) {
-        eprintln!(
-            "emod-serve: could not persist rollback of {}: {}",
-            entry.state.base, e
-        );
-    }
-    publish_rollout_gauges(&entry.state);
-    Some(version)
 }
 
 /// Process-wide flag set by SIGTERM/SIGINT.
@@ -953,10 +609,6 @@ fn dispatch(state: &ServerState, cmd: &str, parsed: &Json) -> (Json, bool) {
         "explain" => (cmd_explain(state, parsed), false),
         "tune" => (cmd_tune(state, parsed), false),
         "observe" => (cmd_observe(state, parsed), false),
-        "rollout" => (cmd_rollout(state, parsed), false),
-        "promote" => (cmd_promote(state, parsed), false),
-        "rollback" => (cmd_rollback(state, parsed), false),
-        "refresh" => (cmd_refresh(state, parsed), false),
         "stats" => (cmd_stats(state), false),
         "health" => (cmd_health(state), false),
         "metrics" => (cmd_metrics(state), false),
@@ -1248,239 +900,6 @@ fn log_prediction(
     telemetry::event("quality", "prediction", &fields);
 }
 
-/// Which artifact actually serves a request after canary routing.
-struct Serving {
-    art: Arc<ModelArtifact>,
-    /// Base artifact id. Version artifacts share their base's metadata, so
-    /// this is the id responses report and observations pair against.
-    base: String,
-    /// Version serving the request (0 = the unversioned base file).
-    version: u64,
-    /// `"active"`, `"canary"`, or `"pinned"` (explicit `@v` id).
-    lane: &'static str,
-    /// Whether a rollout state exists for the base — controls whether the
-    /// response grows `serving`/`version` fields (legacy responses stay
-    /// byte-identical for bases that never refreshed).
-    tracked: bool,
-}
-
-impl Serving {
-    /// Key predictions are logged under, so a later `observe` pairs the
-    /// ground truth with the lane that actually answered.
-    fn key(&self) -> String {
-        version_id(&self.base, self.version)
-    }
-
-    /// Pushes the rollout response fields when the base is tracked.
-    fn push_fields(&self, fields: &mut Vec<(&str, Json)>) {
-        if self.tracked {
-            fields.push(("serving", self.lane.into()));
-            fields.push(("version", self.version.into()));
-        }
-    }
-}
-
-/// Resolves the lane a request is served from. Pinned `"<base>@vN"` ids
-/// bypass routing; otherwise, during a live canary, a deterministic hash
-/// of the request's points routes `fraction` of traffic to the canary
-/// version — content-based and seeded, so the split is reproducible at
-/// any `EMOD_THREADS`. A canary artifact that fails to even load rolls
-/// the rollout back on the spot; a missing active version file degrades
-/// to the unversioned base artifact.
-///
-/// `route` carries the request's parsed points; `None` (tune) never
-/// routes to the canary — canaries are scored on predict/observe traffic.
-fn select_serving(
-    state: &ServerState,
-    art: Arc<ModelArtifact>,
-    req: &Json,
-    route: Option<&[Vec<f64>]>,
-) -> Serving {
-    if let Some(id) = req.get("model").and_then(Json::as_str) {
-        if let Some((base, version)) = split_version(id) {
-            return Serving {
-                art,
-                base: base.to_string(),
-                version,
-                lane: "pinned",
-                tracked: true,
-            };
-        }
-    }
-    let base = art.id();
-    let routed = state.with_rollout(&base, |entry| {
-        publish_rollout_gauges(&entry.state);
-        let canary = match (entry.state.phase, entry.state.canary, route) {
-            (RolloutPhase::Canary, Some(v), Some(points)) => {
-                let h = route_hash(state.rollout_cfg.seed, &base, points);
-                if routes_to_canary(h, entry.state.fraction) {
-                    Some(v)
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        (entry.state.active, canary)
-    });
-    let (active, canary) = match routed {
-        Some(r) => r,
-        None => {
-            return Serving {
-                art,
-                base,
-                version: 0,
-                lane: "active",
-                tracked: false,
-            }
-        }
-    };
-    if let Some(v) = canary {
-        match state.registry.load_version(&base, v) {
-            Ok(canary_art) => {
-                telemetry::counter_add("serve.rollout.canary_requests", 1);
-                return Serving {
-                    art: canary_art,
-                    base,
-                    version: v,
-                    lane: "canary",
-                    tracked: true,
-                };
-            }
-            Err(e) => {
-                state.with_rollout(&base, |entry| {
-                    rollback_entry(
-                        &state.registry,
-                        entry,
-                        &format!("canary artifact unloadable: {}", e),
-                    );
-                });
-            }
-        }
-    }
-    if active > 0 {
-        if let Ok(active_art) = state.registry.load_version(&base, active) {
-            return Serving {
-                art: active_art,
-                base,
-                version: active,
-                lane: "active",
-                tracked: true,
-            };
-        }
-    }
-    Serving {
-        art,
-        base,
-        version: 0,
-        lane: "active",
-        tracked: true,
-    }
-}
-
-/// The canary gate, run on every `observe` while a canary is live: both
-/// lanes are scored against the ground truth, and the updated rolling
-/// shadow MAPEs plus the SLO burn rate drive the promote / hold /
-/// rollback decision. Promotion passes the `canary.promote` fault probe
-/// and the state save — failure at either point auto-rolls-back.
-fn observe_canary(
-    state: &ServerState,
-    base: &str,
-    canary_version: u64,
-    raw: &[f64],
-    measured: f64,
-    active_predicted: f64,
-) -> Json {
-    let canary_key = version_id(base, canary_version);
-    let logged = telemetry::lock_or_recover(&state.quality)
-        .predictions
-        .lookup(&canary_key, raw);
-    let canary_predicted = logged.or_else(|| {
-        state
-            .registry
-            .load_version(base, canary_version)
-            .ok()
-            .map(|a| a.model.predict(&a.space.encode(raw)))
-    });
-    let canary_predicted = match canary_predicted {
-        Some(p) => p,
-        None => {
-            state.with_rollout(base, |entry| {
-                rollback_entry(&state.registry, entry, "canary artifact unloadable");
-            });
-            return Json::obj(vec![
-                ("phase", "steady".into()),
-                ("verdict", "rollback".into()),
-                ("reason", "canary artifact unloadable".into()),
-            ]);
-        }
-    };
-    // Burn rate is computed outside the rollout lock: the SLO tracker has
-    // its own mutex and the gate only needs a point-in-time reading.
-    let slo = state.slo_snapshot();
-    let burn = match (slo.availability_burn, slo.latency_burn) {
-        (Some(a), Some(l)) => Some(a.max(l)),
-        (a, l) => a.or(l),
-    };
-    let cfg = &state.rollout_cfg;
-    state
-        .with_rollout(base, |entry| {
-            entry.active_shadow.record(active_predicted, measured);
-            entry.canary_shadow.record(canary_predicted, measured);
-            let active_mape = entry.active_shadow.mape();
-            let canary_mape = entry.canary_shadow.mape();
-            let pairs = entry.canary_shadow.len();
-            telemetry::gauge_set("serve.rollout.canary_pairs", pairs as f64);
-            if let Some(m) = active_mape {
-                telemetry::gauge_set("serve.rollout.active_mape", m);
-            }
-            if let Some(m) = canary_mape {
-                telemetry::gauge_set("serve.rollout.canary_mape", m);
-            }
-            let mut verdict = shadow_verdict(
-                active_mape,
-                canary_mape,
-                pairs,
-                cfg.min_obs,
-                cfg.improve_margin,
-                cfg.regress_margin,
-            );
-            let mut reason = format!(
-                "canary mape {:.3}% vs active {:.3}% over {} pairs",
-                canary_mape.unwrap_or(f64::NAN),
-                active_mape.unwrap_or(f64::NAN),
-                pairs
-            );
-            if let Some(b) = burn {
-                if b > cfg.max_burn {
-                    verdict = ShadowVerdict::Rollback;
-                    reason = format!("slo burn {:.2} exceeds cap {:.2}", b, cfg.max_burn);
-                }
-            }
-            let verdict_name = match verdict {
-                ShadowVerdict::Promote => match promote_entry(&state.registry, entry, &reason) {
-                    Ok(_) => "promote",
-                    Err(_) => "rollback",
-                },
-                ShadowVerdict::Rollback => {
-                    rollback_entry(&state.registry, entry, &reason);
-                    "rollback"
-                }
-                ShadowVerdict::Hold => "hold",
-            };
-            Json::obj(vec![
-                ("phase", entry.state.phase.name().into()),
-                ("canary_version", canary_version.into()),
-                ("pairs", pairs.into()),
-                ("active_mape", active_mape.map_or(Json::Null, Json::Num)),
-                ("canary_mape", canary_mape.map_or(Json::Null, Json::Num)),
-                ("verdict", verdict_name.into()),
-                ("reason", reason.into()),
-            ])
-        })
-        .unwrap_or(Json::Null)
-}
-
 fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
     let registry = &state.registry;
     let art = match resolve_model(registry, req) {
@@ -1506,11 +925,7 @@ fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
             Err(e) => return err_response(format!("point {}: {}", i, e)),
         }
     }
-    // Canary routing happens after point parsing: the route hash is a
-    // function of the request's content, so the same query always lands in
-    // the same lane regardless of connection or thread interleaving.
-    let serving = select_serving(state, art, req, Some(&raws));
-    let art = &serving.art;
+    let id = art.id();
     // Shard large batches across the measurement pool: each prediction is a
     // pure function of its point, so the response is bit-identical to the
     // sequential loop at any `EMOD_THREADS`. Small batches stay inline —
@@ -1528,10 +943,9 @@ fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
     telemetry::counter_add("serve.predictions", predictions.len() as u64);
     let mut fields = vec![
         ("ok", Json::Bool(true)),
-        ("model", serving.base.as_str().into()),
+        ("model", id.as_str().into()),
         ("family", family_slug(art.meta.family).into()),
     ];
-    serving.push_fields(&mut fields);
     if batch {
         // Batch is the throughput path (sharded above): quality scoring is
         // reserved for single predict/explain so the parallel speedup the
@@ -1545,12 +959,9 @@ fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
             .expect("one numeric prediction");
         let raw = &raws[0];
         let coded = art.space.encode(raw);
-        let siblings = sibling_artifacts(registry, art);
-        let sig = quality_signals(art, &siblings, raw, &coded, prediction);
-        log_prediction(state, &serving.key(), raw, prediction, &sig);
-        // High-extrapolation queries are exactly the design points the
-        // model has not covered — feed them to the refresh loop.
-        state.maybe_enqueue_refresh(&serving.base, raw, sig.extrapolation);
+        let siblings = sibling_artifacts(registry, &art);
+        let sig = quality_signals(&art, &siblings, raw, &coded, prediction);
+        log_prediction(state, &id, raw, prediction, &sig);
         fields.push(("prediction", Json::Num(prediction)));
         fields.push(("quality", quality_json(&sig)));
     }
@@ -1571,17 +982,14 @@ fn cmd_explain(state: &ServerState, req: &Json) -> Json {
         Ok(r) => r,
         Err(e) => return err_response(format!("point: {}", e)),
     };
-    let route = vec![raw.clone()];
-    let serving = select_serving(state, art, req, Some(&route));
-    let art = &serving.art;
+    let id = art.id();
     let coded = art.space.encode(&raw);
     let prediction = art.model.predict(&coded);
     let parts = art.model.explain(&coded);
     let reconstruction = emod_models::attribution_total(&parts);
-    let siblings = sibling_artifacts(registry, art);
-    let sig = quality_signals(art, &siblings, &raw, &coded, prediction);
-    log_prediction(state, &serving.key(), &raw, prediction, &sig);
-    state.maybe_enqueue_refresh(&serving.base, &raw, sig.extrapolation);
+    let siblings = sibling_artifacts(registry, &art);
+    let sig = quality_signals(&art, &siblings, &raw, &coded, prediction);
+    log_prediction(state, &id, &raw, prediction, &sig);
     telemetry::counter_add("serve.explains", 1);
     let attributions: Vec<Json> = parts
         .iter()
@@ -1596,20 +1004,16 @@ fn cmd_explain(state: &ServerState, req: &Json) -> Json {
             ])
         })
         .collect();
-    let mut fields = vec![
+    Json::obj(vec![
         ("ok", Json::Bool(true)),
-        ("model", serving.base.as_str().into()),
+        ("model", id.into()),
         ("family", family_slug(art.meta.family).into()),
-    ];
-    serving.push_fields(&mut fields);
-    fields.extend(vec![
         ("prediction", prediction.into()),
         ("reconstruction", reconstruction.into()),
         ("terms", attributions.len().into()),
         ("attributions", Json::Arr(attributions)),
         ("quality", quality_json(&sig)),
-    ]);
-    Json::obj(fields)
+    ])
 }
 
 /// `observe`: feed a ground-truth measurement back for a point the server
@@ -1644,28 +1048,7 @@ fn cmd_observe(state: &ServerState, req: &Json) -> Json {
             None => return err_response("\"tier\" must be a string when present"),
         },
     };
-    let base = art.id();
-    // The active lane may be a promoted version file rather than the base
-    // artifact: pair and score against what is actually serving. While a
-    // canary is live, this observation also feeds the canary gate below.
-    let lanes = state.with_rollout(&base, |e| {
-        let canary = if e.state.phase == RolloutPhase::Canary {
-            e.state.canary
-        } else {
-            None
-        };
-        (e.state.active, canary)
-    });
-    let (active_version, canary_version) = lanes.unwrap_or((0, None));
-    let active_art = if active_version > 0 {
-        state
-            .registry
-            .load_version(&base, active_version)
-            .unwrap_or_else(|_| art.clone())
-    } else {
-        art.clone()
-    };
-    let id = version_id(&base, active_version);
+    let id = art.id();
     let mut quality = telemetry::lock_or_recover(&state.quality);
     // Pair against what the server actually answered for this point if the
     // prediction is still in the log; otherwise predict fresh (the model is
@@ -1673,10 +1056,7 @@ fn cmd_observe(state: &ServerState, req: &Json) -> Json {
     // republished in between).
     let (predicted, paired) = match quality.predictions.lookup(&id, &raw) {
         Some(p) => (p, true),
-        None => (
-            active_art.model.predict(&active_art.space.encode(&raw)),
-            false,
-        ),
+        None => (art.model.predict(&art.space.encode(&raw)), false),
     };
     quality.shadow.record(predicted, measured);
     let pairs = quality.shadow.len();
@@ -1716,12 +1096,7 @@ fn cmd_observe(state: &ServerState, req: &Json) -> Json {
         fields.push(("tier", t.as_str().into()));
     }
     telemetry::event("quality", "observation", &fields);
-    // The canary gate runs after the legacy bookkeeping so a promote or
-    // rollback triggered by this very observation is reflected in the
-    // response's `rollout` block.
-    let rollout =
-        canary_version.map(|cv| observe_canary(state, &base, cv, &raw, measured, predicted));
-    let mut out = vec![
+    Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("model", id.into()),
         ("predicted", predicted.into()),
@@ -1733,11 +1108,7 @@ fn cmd_observe(state: &ServerState, req: &Json) -> Json {
         ("shadow_mape", mape.map_or(Json::Null, Json::Num)),
         ("shadow_max_ape", max_ape.map_or(Json::Null, Json::Num)),
         ("tier", tier.map_or(Json::Null, Json::Str)),
-    ];
-    if let Some(r) = rollout {
-        out.push(("rollout", r));
-    }
-    Json::obj(out)
+    ])
 }
 
 fn cmd_tune(state: &ServerState, req: &Json) -> Json {
@@ -1752,10 +1123,7 @@ fn cmd_tune(state: &ServerState, req: &Json) -> Json {
         Ok(a) => a,
         Err(e) => return err_response(e),
     };
-    // Tunes always serve the active lane (route = None): a canary earns
-    // promotion on predict/observe traffic, not by steering flag search.
-    let serving = select_serving(state, art, &selector, None);
-    let art = &serving.art;
+    let id = art.id();
     let platform_name = req
         .get("platform")
         .and_then(Json::as_str)
@@ -1780,28 +1148,18 @@ fn cmd_tune(state: &ServerState, req: &Json) -> Json {
     // design, so score it like a single predict and remember it for a later
     // `observe` with the measured cycles.
     let coded_best = art.space.encode(&tuned.point);
-    let siblings = sibling_artifacts(registry, art);
+    let siblings = sibling_artifacts(registry, &art);
     let sig = quality_signals(
-        art,
+        &art,
         &siblings,
         &tuned.point,
         &coded_best,
         tuned.predicted_cycles,
     );
-    log_prediction(
-        state,
-        &serving.key(),
-        &tuned.point,
-        tuned.predicted_cycles,
-        &sig,
-    );
-    state.maybe_enqueue_refresh(&serving.base, &tuned.point, sig.extrapolation);
-    let mut fields = vec![
+    log_prediction(state, &id, &tuned.point, tuned.predicted_cycles, &sig);
+    Json::obj(vec![
         ("ok", Json::Bool(true)),
-        ("model", serving.base.as_str().into()),
-    ];
-    serving.push_fields(&mut fields);
-    fields.extend(vec![
+        ("model", id.into()),
         ("platform", platform_name.into()),
         ("seed", seed.into()),
         ("flags", Json::Obj(flags)),
@@ -1817,181 +1175,7 @@ fn cmd_tune(state: &ServerState, req: &Json) -> Json {
         ),
         ("evaluations", tuned.evaluations.into()),
         ("quality", quality_json(&sig)),
-    ]);
-    Json::obj(fields)
-}
-
-/// `rollout`: report a base artifact's rollout status — phase, versions,
-/// per-lane shadow accuracy, refresh-queue depth, and the event history.
-fn cmd_rollout(state: &ServerState, req: &Json) -> Json {
-    let art = match resolve_model(&state.registry, req) {
-        Ok(a) => a,
-        Err(e) => return err_response(e),
-    };
-    let base = art.id();
-    let versions = state.registry.versions(&base).unwrap_or_default();
-    let pending = state.refresh_dir.as_ref().and_then(|dir| {
-        let path = emod_core::refresh::RefreshQueue::path_for(dir, &base);
-        if !path.exists() {
-            return Some(0);
-        }
-        emod_core::refresh::RefreshQueue::open(dir, &base)
-            .ok()
-            .map(|q| q.pending_len())
-    });
-    let rollout = state.with_rollout(&base, |entry| {
-        let mut fields = match entry.state.to_json() {
-            Json::Obj(f) => f,
-            _ => Vec::new(),
-        };
-        fields.push((
-            "active_shadow_mape".to_string(),
-            entry.active_shadow.mape().map_or(Json::Null, Json::Num),
-        ));
-        fields.push((
-            "canary_shadow_mape".to_string(),
-            entry.canary_shadow.mape().map_or(Json::Null, Json::Num),
-        ));
-        fields.push((
-            "shadow_pairs".to_string(),
-            Json::from(entry.canary_shadow.len()),
-        ));
-        Json::Obj(fields)
-    });
-    Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("model", base.into()),
-        ("rollout", rollout.unwrap_or(Json::Null)),
-        (
-            "versions",
-            Json::Arr(versions.into_iter().map(Json::from).collect()),
-        ),
-        ("queue_pending", pending.map_or(Json::Null, Json::from)),
     ])
-}
-
-/// `promote`: operator-forced promotion of a live canary. Skips the
-/// minimum-observation gate but still passes the `canary.promote` fault
-/// probe and the state save — failure at either point auto-rolls-back.
-fn cmd_promote(state: &ServerState, req: &Json) -> Json {
-    let art = match resolve_model(&state.registry, req) {
-        Ok(a) => a,
-        Err(e) => return err_response(e),
-    };
-    let base = art.id();
-    let result = state.with_rollout(&base, |entry| {
-        if entry.state.phase != RolloutPhase::Canary {
-            return Err(format!(
-                "rollout for {} is {}, not canary",
-                base,
-                entry.state.phase.name()
-            ));
-        }
-        promote_entry(&state.registry, entry, "operator")
-            .map(|v| (v, entry.state.to_json()))
-            .map_err(|e| format!("promote failed (rolled back to active): {}", e))
-    });
-    match result {
-        None => err_response(format!("{} has no rollout", base)),
-        Some(Err(e)) => err_response(e),
-        Some(Ok((v, rollout))) => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("model", base.into()),
-            ("promoted", v.into()),
-            ("rollout", rollout),
-        ]),
-    }
-}
-
-/// `rollback`: operator-forced rollback of a live canary to the active
-/// version. An optional `"reason"` string lands in the event history.
-fn cmd_rollback(state: &ServerState, req: &Json) -> Json {
-    let art = match resolve_model(&state.registry, req) {
-        Ok(a) => a,
-        Err(e) => return err_response(e),
-    };
-    let base = art.id();
-    let reason = req
-        .get("reason")
-        .and_then(Json::as_str)
-        .unwrap_or("operator")
-        .to_string();
-    let result = state.with_rollout(&base, |entry| {
-        rollback_entry(&state.registry, entry, &reason).map(|v| (v, entry.state.to_json()))
-    });
-    match result {
-        None => err_response(format!("{} has no rollout", base)),
-        Some(None) => err_response(format!("rollout for {} has no canary to roll back", base)),
-        Some(Some((v, rollout))) => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("model", base.into()),
-            ("rolled_back", v.into()),
-            ("rollout", rollout),
-        ]),
-    }
-}
-
-/// `refresh`: feed the closed loop by hand. `"enqueue"` (optional array
-/// of points) adds design points to the base's refresh queue; unless
-/// `"measure"` is `false`, one refresh cycle then measures the queue,
-/// retrains, publishes a candidate version, and starts its canary.
-fn cmd_refresh(state: &ServerState, req: &Json) -> Json {
-    let art = match resolve_model(&state.registry, req) {
-        Ok(a) => a,
-        Err(e) => return err_response(e),
-    };
-    let base = art.id();
-    let dir = match &state.refresh_dir {
-        Some(d) => d.clone(),
-        None => {
-            return err_response("refresh loop disabled (set EMOD_REFRESH=1 or EMOD_REFRESH_DIR)")
-        }
-    };
-    let mut enqueued = 0usize;
-    if let Some(points) = req.get("enqueue").and_then(Json::as_array) {
-        let dim = art.space.len();
-        let mut raws = Vec::with_capacity(points.len());
-        for (i, p) in points.iter().enumerate() {
-            match parse_point(p, dim) {
-                Ok(r) => raws.push(r),
-                Err(e) => return err_response(format!("enqueue point {}: {}", i, e)),
-            }
-        }
-        let mut queue = match emod_core::refresh::RefreshQueue::open(&dir, &base) {
-            Ok(q) => q,
-            Err(e) => return err_response(format!("refresh queue: {}", e)),
-        };
-        for raw in &raws {
-            if queue.enqueue(raw) {
-                enqueued += 1;
-            }
-        }
-        telemetry::counter_add("serve.rollout.enqueued", enqueued as u64);
-    }
-    if !req.get("measure").and_then(Json::as_bool).unwrap_or(true) {
-        return Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("model", base.into()),
-            ("enqueued", enqueued.into()),
-            ("cycle", Json::Bool(false)),
-        ]);
-    }
-    match state.run_refresh(&base) {
-        Ok(out) => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("model", base.into()),
-            ("enqueued", enqueued.into()),
-            ("cycle", Json::Bool(true)),
-            ("version", out.version.into()),
-            ("measured", out.measured.into()),
-            ("skipped", out.skipped.into()),
-            ("train_size", out.train_size.into()),
-            ("train_mape", out.train_mape.into()),
-            ("test_mape", out.test_mape.into()),
-            ("rollout", out.state.to_json()),
-        ]),
-        Err(e) => err_response(format!("refresh failed: {}", e)),
-    }
 }
 
 /// A quantile as JSON: `null` for an empty histogram.
@@ -2054,7 +1238,6 @@ fn cmd_stats(state: &ServerState) -> Json {
 
 fn cmd_health(state: &ServerState) -> Json {
     let models = state.registry.list().map(|ids| ids.len()).unwrap_or(0);
-    let rollouts = state.registry.rollouts().map(|r| r.len()).unwrap_or(0);
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("status", "ok".into()),
@@ -2062,7 +1245,6 @@ fn cmd_health(state: &ServerState) -> Json {
         ("artifact_format", u64::from(FORMAT_VERSION).into()),
         ("uptime_s", state.uptime_s().into()),
         ("models", models.into()),
-        ("rollouts", rollouts.into()),
         ("in_flight", state.in_flight.load(Ordering::SeqCst).into()),
         ("slo", state.slo_snapshot().to_json(false)),
     ])

@@ -1,8 +1,8 @@
 //! Wire tests for the serving front over real loopback TCP: replies
 //! byte-identical to a golden transcript, sent one request at a time and
-//! pipelined in one write; canary-lane routing that does not depend on
-//! pipelining; and many open connections multiplexed onto a tiny worker
-//! pool.
+//! pipelined in one write; files left in a registry by the removed refresh
+//! loop changing no reply; and many open connections multiplexed onto a
+//! tiny worker pool.
 //!
 //! The transcript (`wire_transcript.txt`, `> request` / `< response`
 //! line pairs) holds the replies of the earlier thread-per-connection
@@ -16,7 +16,6 @@ use emod_models::Dataset;
 use emod_serve::artifact::{ArtifactMeta, ModelArtifact};
 use emod_serve::json::Json;
 use emod_serve::registry::ModelRegistry;
-use emod_serve::rollout::{RolloutPhase, RolloutState};
 use emod_serve::server::Server;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -197,72 +196,91 @@ fn replies_match_the_golden_transcript_sequential_and_pipelined() {
     handle.join().unwrap();
 }
 
+/// The refresh loop (DESIGN.md §15) left three kinds of files behind: a
+/// version artifact `<base>@v1.emod`, a `<base>.rollout` state file and a
+/// `refresh/<base>.queue.jsonl` queue. A registry holding all three, with
+/// the rollout mid-canary on a version fit to a different surface, must
+/// answer every command exactly like the same registry without them.
 #[test]
-fn canary_lanes_route_the_same_pipelined_and_sequential() {
-    let dir = std::env::temp_dir().join(format!("emod-reactor-canary-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn files_left_by_the_removed_refresh_loop_change_no_reply() {
     let space = design_space();
     let mut rng = StdRng::seed_from_u64(42);
     let raw = emod_doe::lhs(&space, 60, &mut rng);
     let xs: Vec<Vec<f64>> = raw.iter().map(|p| space.encode(p)).collect();
     let ys: Vec<f64> = xs.iter().map(|x| truth(x)).collect();
-    // Active lane and canary lane fit different surfaces, so serving the
-    // wrong lane's artifact changes the prediction value.
     let warped: Vec<f64> = ys
         .iter()
         .enumerate()
         .map(|(i, y)| y * (1.0 + 0.08 * ((i as f64) * 0.7).sin()))
         .collect();
-    let active = artifact_on(&xs, &warped);
-    let canary = artifact_on(&xs, &ys);
+    let active = artifact_on(&xs, &ys);
     let base = active.id();
-    {
-        let registry = ModelRegistry::open(&dir).unwrap();
-        registry.store(&active).unwrap();
-        registry.store_version(&canary, 1).unwrap();
-        let mut state = RolloutState::steady(&base);
-        state.phase = RolloutPhase::Canary;
-        state.canary = Some(1);
-        state.fraction = 0.4;
-        state.record("canary_started", 1, "test");
-        registry.save_rollout(&state).unwrap();
-    }
+    let dirs = ["clean", "leftover"].map(|tag| {
+        let dir = std::env::temp_dir().join(format!("emod-reactor-{}-{}", tag, std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ModelRegistry::open(&dir).unwrap().store(&active).unwrap();
+        dir
+    });
+    let leftover = &dirs[1];
+    std::fs::write(
+        leftover.join(format!("{}@v1.emod", base)),
+        artifact_on(&xs, &warped).to_bytes(),
+    )
+    .unwrap();
+    std::fs::write(
+        leftover.join(format!("{}.rollout", base)),
+        format!(
+            "{{\"base\":\"{}\",\"phase\":\"canary\",\"active\":0,\"canary\":1,\"prev\":null,\"fraction\":1,\"events\":[]}}\n",
+            base
+        ),
+    )
+    .unwrap();
+    std::fs::create_dir_all(leftover.join("refresh")).unwrap();
+    std::fs::write(
+        leftover
+            .join("refresh")
+            .join(format!("{}.queue.jsonl", base)),
+        "{\"v\":1,\"base\":\"m\"}\n{\"point\":[0]}\n",
+    )
+    .unwrap();
+
     let mut qrng = StdRng::seed_from_u64(7);
-    let queries = emod_doe::lhs(&space, 48, &mut qrng);
-    let bodies: Vec<String> = queries.iter().map(|q| predict_body(&base, q)).collect();
+    let queries = emod_doe::lhs(&space, 8, &mut qrng);
+    let mut requests = vec!["{\"cmd\":\"list_models\"}".to_string()];
+    requests.extend(queries.iter().map(|q| predict_body(&base, q)));
+    requests.push(format!(
+        "{{\"cmd\":\"explain\",\"model\":\"{}\",\"point\":\"o2@typical\"}}",
+        base
+    ));
+    requests.push("{\"cmd\":\"tune\",\"workload\":\"mcf\",\"seed\":3}".to_string());
+    requests.push(format!(
+        "{{\"cmd\":\"observe\",\"model\":\"{}\",\"point\":\"o2@typical\",\"measured\":5000}}",
+        base
+    ));
+    requests.push("{\"cmd\":\"health\"}".to_string());
 
-    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
-    let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
-
-    // Lanes are a function of request content: the same stream must land
-    // in the same lanes, with the same values, however it is sent.
-    let mut sequential = TestClient::connect(addr);
-    let expected: Vec<String> = bodies.iter().map(|b| sequential.request_raw(b)).collect();
-    let mut pipelined = TestClient::connect(addr);
-    let got = pipelined.pipeline_raw(&bodies);
-    assert_eq!(expected, got, "canary lane routing depends on pipelining");
-
-    // The canary split actually exercised both lanes.
-    let lanes: Vec<&str> = got
-        .iter()
-        .map(|line| {
-            Json::parse(line)
-                .unwrap()
-                .get("serving")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string()
-        })
-        .map(|s| if s == "canary" { "canary" } else { "active" })
-        .collect();
-    assert!(lanes.contains(&"canary"), "no request routed to the canary");
-    assert!(
-        lanes.contains(&"active"),
-        "no request routed to the active lane"
-    );
-
-    shutdown(addr);
-    handle.join().unwrap();
+    let replies = dirs.each_ref().map(|dir| {
+        let registry = Arc::new(ModelRegistry::open(dir).unwrap());
+        let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
+        let mut client = TestClient::connect(addr);
+        let mut lines: Vec<String> = requests.iter().map(|r| client.request_raw(r)).collect();
+        // Health differs between any two servers by uptime alone.
+        let mut health = Json::parse(&lines.pop().unwrap()).unwrap();
+        if let Json::Obj(fields) = &mut health {
+            fields.retain(|(k, _)| k != "uptime_s");
+        }
+        lines.push(health.to_string());
+        shutdown(addr);
+        handle.join().unwrap();
+        lines
+    });
+    for (request, (clean, left)) in requests.iter().zip(replies[0].iter().zip(&replies[1])) {
+        assert!(clean.contains("\"ok\":true"), "{} -> {}", request, clean);
+        assert_eq!(clean, left, "reply to {}", request);
+    }
+    for dir in &dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
 
 #[test]
