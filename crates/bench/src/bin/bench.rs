@@ -1,16 +1,18 @@
 //! `bench` — the parallel-speedup benchmark harness.
 //!
-//! Times the three hot paths that `emod-par` fans out — measurement
-//! campaigns, model training (RBF + MARS + GA tuning) and batch
-//! prediction — at `EMOD_THREADS=1` versus a parallel worker count, and
-//! writes one JSON report per phase (`BENCH_measure.json`,
-//! `BENCH_train.json`, `BENCH_serve.json`) so every future change has a
+//! Times the two phases that `emod-par` fans out — measurement campaigns
+//! and model training (the RBF and MARS fits; the GA tuning that follows
+//! them runs inline at both worker counts) — at `EMOD_THREADS=1` versus a
+//! parallel worker count, and writes one JSON report per phase
+//! (`BENCH_measure.json`, `BENCH_train.json`) so every future change has a
 //! performance trajectory to move. Each report records the median-of-N
-//! wall time for both worker counts, the speedup, throughput (Minst/s for
-//! measurement, predictions/s for serving) and an `identical` flag
-//! asserting the parallel run produced bit-identical results. Every
-//! report opens with a schema-versioned metadata prefix (schema, bench
-//! phase, mode, reps, host/worker thread counts) in a stable field order;
+//! wall time for both worker counts, the speedup, measurement throughput
+//! (Minst/s) and an `identical` flag asserting the parallel run produced
+//! bit-identical results. The speedup is `null` when the host has fewer
+//! than two hardware threads: there the parallel run cannot be parallel,
+//! so its ratio would measure nothing. Every report opens with a
+//! schema-versioned metadata prefix (schema, bench phase, mode, reps,
+//! host/worker thread counts) in a stable field order;
 //! `--history FILE` additionally appends each report as one flat JSON
 //! line — the `BENCH_HISTORY.jsonl` feed that `emod-trace bench` judges
 //! for step regressions.
@@ -19,11 +21,11 @@
 //! cargo run --release -p emod-bench --bin bench -- --quick
 //! cargo run --release -p emod-bench --bin bench -- --threads 8 --out bench-out
 //! cargo run --release -p emod-bench --bin bench -- --quick --check-speedup 1.5
-//! cargo run --release -p emod-bench --bin bench -- --quick --phase serve
+//! cargo run --release -p emod-bench --bin bench -- --quick --phase train
 //! ```
 //!
 //! `--phase NAME` (repeatable) restricts the run to the named phases
-//! (`measure`, `train`, `serve`).
+//! (`measure`, `train`).
 //!
 //! `--check-speedup X` exits non-zero if the measurement-campaign speedup
 //! falls below `X` — but only when the host has at least 4 cores and the
@@ -37,7 +39,7 @@ use emod_core::model::{ModelFamily, SurrogateModel};
 use emod_core::tune::search_flags_surrogate;
 use emod_core::vars::design_space;
 use emod_doe::lhs;
-use emod_models::{Dataset, Regressor};
+use emod_models::Dataset;
 use emod_uarch::UarchConfig;
 use emod_workloads::{InputSet, Workload};
 use rand::rngs::StdRng;
@@ -54,7 +56,7 @@ const BENCH_SEED: u64 = 4242;
 const REPORT_SCHEMA: u64 = 2;
 
 /// Phase names accepted by `--phase`, in run order.
-const PHASES: [&str; 3] = ["measure", "train", "serve"];
+const PHASES: [&str; 2] = ["measure", "train"];
 
 struct Args {
     quick: bool,
@@ -202,6 +204,26 @@ fn write_report(args: &Args, phase: &str, fields: &[(&str, String)]) {
     }
 }
 
+/// `wall_seq / wall_par`, or NaN (written as `null`) on a host with fewer
+/// than two hardware threads, where the parallel run cannot be parallel.
+fn reported_speedup(wall_seq: f64, wall_par: f64) -> f64 {
+    let host = emod_par::available_parallelism();
+    if host < 2 {
+        println!("  speedup not reported: the host has {host} hardware thread(s), need >= 2");
+        return f64::NAN;
+    }
+    wall_seq / wall_par.max(1e-9)
+}
+
+/// A speedup for the console: `1.23x`, or `null` when not reported.
+fn show_speedup(speedup: f64) -> String {
+    if speedup.is_finite() {
+        format!("{:.2}x", speedup)
+    } else {
+        "null".to_string()
+    }
+}
+
 /// The schema-versioned metadata prefix every report starts with:
 /// schema, bench phase, mode, reps, host thread count, worker count — in
 /// that order, always, so reports diff cleanly across runs.
@@ -242,13 +264,20 @@ fn bench_measure(args: &Args) -> f64 {
     };
     let (wall_seq, (bits_seq, instructions)) = timed(args.reps, || campaign(1));
     let (wall_par, (bits_par, _)) = timed(args.reps, || campaign(args.threads));
-    let speedup = wall_seq / wall_par.max(1e-9);
+    let speedup = reported_speedup(wall_seq, wall_par);
     let identical = bits_seq == bits_par;
     let minst_seq = instructions as f64 / 1e6 / wall_seq.max(1e-9);
     let minst_par = instructions as f64 / 1e6 / wall_par.max(1e-9);
     println!(
-        "  {} points  seq {:.3}s ({:.1} Minst/s)  par×{} {:.3}s ({:.1} Minst/s)  speedup {:.2}x  identical {}",
-        n_points, wall_seq, minst_seq, args.threads, wall_par, minst_par, speedup, identical
+        "  {} points  seq {:.3}s ({:.1} Minst/s)  par×{} {:.3}s ({:.1} Minst/s)  speedup {}  identical {}",
+        n_points,
+        wall_seq,
+        minst_seq,
+        args.threads,
+        wall_par,
+        minst_par,
+        show_speedup(speedup),
+        identical
     );
     assert!(identical, "parallel campaign diverged from sequential");
 
@@ -275,11 +304,10 @@ fn model_bytes(model: &SurrogateModel) -> Vec<u8> {
 }
 
 /// Phase 2: RBF fit + MARS fit + GA tuning on a measured dataset, with the
-/// training fan-outs steered through the `EMOD_THREADS` env knob.
-/// `report` is false when the phase only runs to feed `serve` its dataset
-/// (a `--phase serve` selection that excluded `train`).
-fn bench_train(args: &Args, report: bool) -> Dataset {
-    println!("== train: RBF + MARS + GA fan-out ==");
+/// two fits' fan-outs steered through the `EMOD_THREADS` env knob. The GA
+/// runs inline on both sides, so it adds the same time to each.
+fn bench_train(args: &Args) {
+    println!("== train: RBF + MARS fan-out (GA inline) ==");
     let workload = Workload::by_name("gzip").expect("bundled workload");
     let sample = BuildConfig::quick(BENCH_SEED).sample;
     let space = design_space();
@@ -291,10 +319,6 @@ fn bench_train(args: &Args, report: bool) -> Dataset {
     let ys = m.measure_metric_batch(&points, Metric::Cycles);
     let xs: Vec<Vec<f64>> = points.iter().map(|p| space.encode(p)).collect();
     let data = Dataset::new(xs, ys).expect("measured dataset is well-formed");
-    if !report {
-        // Only here to supply `serve` its dataset — skip the timed passes.
-        return data;
-    }
 
     let train_all = |threads: usize| {
         std::env::set_var(emod_par::THREADS_ENV, threads.to_string());
@@ -306,15 +330,15 @@ fn bench_train(args: &Args, report: bool) -> Dataset {
     let (wall_seq, out_seq) = timed(args.reps, || train_all(1));
     let (wall_par, out_par) = timed(args.reps, || train_all(args.threads));
     std::env::remove_var(emod_par::THREADS_ENV);
-    let speedup = wall_seq / wall_par.max(1e-9);
+    let speedup = reported_speedup(wall_seq, wall_par);
     let identical = out_seq == out_par;
     println!(
-        "  n={}  seq {:.3}s  par×{} {:.3}s  speedup {:.2}x  identical {}",
+        "  n={}  seq {:.3}s  par×{} {:.3}s  speedup {}  identical {}",
         data.len(),
         wall_seq,
         args.threads,
         wall_par,
-        speedup,
+        show_speedup(speedup),
         identical
     );
     assert!(identical, "parallel training diverged from sequential");
@@ -329,51 +353,6 @@ fn bench_train(args: &Args, report: bool) -> Dataset {
         ("identical", identical.to_string()),
     ]);
     write_report(args, "train", &fields);
-    data
-}
-
-/// Phase 3: batch prediction sharding — the same pool fan-out
-/// `emod-serve` uses for `predict_batch` — over a large random batch.
-fn bench_serve(args: &Args, data: &Dataset) {
-    println!("== serve: predict_batch sharding ==");
-    let space = design_space();
-    std::env::set_var(emod_par::THREADS_ENV, "1");
-    let model = SurrogateModel::fit(data, ModelFamily::Rbf).expect("rbf fit");
-    std::env::remove_var(emod_par::THREADS_ENV);
-    let n_points = if args.quick { 2_000 } else { 20_000 };
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED + 2);
-    let batch: Vec<Vec<f64>> = (0..n_points)
-        .map(|_| space.encode(&space.random_point(&mut rng)))
-        .collect();
-
-    let predict_all = |threads: usize| {
-        let pool = emod_par::Pool::new(threads);
-        let preds = pool.map(&batch, |_i, x| model.predict(x));
-        preds.iter().map(|p| p.to_bits()).collect::<Vec<u64>>()
-    };
-    let (wall_seq, bits_seq) = timed(args.reps, || predict_all(1));
-    let (wall_par, bits_par) = timed(args.reps, || predict_all(args.threads));
-    let speedup = wall_seq / wall_par.max(1e-9);
-    let identical = bits_seq == bits_par;
-    let rate_seq = n_points as f64 / wall_seq.max(1e-9);
-    let rate_par = n_points as f64 / wall_par.max(1e-9);
-    println!(
-        "  {} predictions  seq {:.3}s ({:.0}/s)  par×{} {:.3}s ({:.0}/s)  speedup {:.2}x  identical {}",
-        n_points, wall_seq, rate_seq, args.threads, wall_par, rate_par, speedup, identical
-    );
-    assert!(identical, "parallel prediction diverged from sequential");
-
-    let mut fields = common_fields(args, args.reps, "serve");
-    fields.extend([
-        ("points", n_points.to_string()),
-        ("wall_s_seq", jnum(wall_seq)),
-        ("wall_s_par", jnum(wall_par)),
-        ("predictions_per_sec_seq", jnum(rate_seq)),
-        ("predictions_per_sec_par", jnum(rate_par)),
-        ("speedup", jnum(speedup)),
-        ("identical", identical.to_string()),
-    ]);
-    write_report(args, "serve", &fields);
 }
 
 fn main() {
@@ -394,13 +373,8 @@ fn main() {
     );
 
     let measure_speedup = args.phase_enabled("measure").then(|| bench_measure(&args));
-    if args.phase_enabled("serve") {
-        // serve needs train's measured dataset even when train itself was
-        // filtered out of the report.
-        let data = bench_train(&args, args.phase_enabled("train"));
-        bench_serve(&args, &data);
-    } else if args.phase_enabled("train") {
-        bench_train(&args, true);
+    if args.phase_enabled("train") {
+        bench_train(&args);
     }
 
     if let (Some(min), Some(measure_speedup)) = (args.check_speedup, measure_speedup) {

@@ -4,9 +4,10 @@
 //! bytes, serialized model artifacts (and their serve-side checksums) and
 //! tuned design points.
 //!
-//! Model fits and the GA read the worker count from the process-global
+//! Model fits read the worker count from the process-global
 //! `EMOD_THREADS`, so every test serializes on one lock and restores the
-//! variable before releasing it.
+//! variable before releasing it. The GA runs inline and does not read
+//! it; its test stays as a guard against a worker-count dependence.
 
 use emod_core::builder::BuildConfig;
 use emod_core::measure::{BatchRetry, Measurer, Metric};

@@ -49,7 +49,7 @@ pub fn search_flags(built: &BuiltModel, platform: &UarchConfig, seed: u64) -> Tu
 /// against `model`'s predictions.
 pub fn search_flags_surrogate(
     space: &ParameterSpace,
-    model: &(dyn Regressor + Sync),
+    model: &dyn Regressor,
     platform: &UarchConfig,
     seed: u64,
 ) -> TunedSettings {

@@ -1,11 +1,13 @@
 //! `emod-par`: a zero-dependency, deterministic work-stealing thread pool.
 //!
-//! The measurement campaigns, model fits and batch predictions in this
-//! workspace are all *embarrassingly parallel over an indexed list of pure
-//! tasks*: hundreds of D-optimal design points to simulate, dozens of
-//! candidate hidden-layer sizes or hinge knots to score, a GA population to
-//! evaluate, a batch of prediction points to shard. [`Pool`] parallelizes
-//! exactly that shape while keeping a hard **determinism contract**:
+//! The measurement campaigns and model fits in this workspace are
+//! *embarrassingly parallel over an indexed list of pure tasks*: hundreds
+//! of D-optimal design points to simulate, dozens of candidate
+//! hidden-layer sizes or hinge knots to score. Each task costs
+//! milliseconds, which is what pays for handing it to a worker; model
+//! predictions (well under a microsecond each, in the GA and in
+//! `predict_batch`) run inline instead. [`Pool`] parallelizes exactly that
+//! shape while keeping a hard **determinism contract**:
 //!
 //! * Results are returned **by task index**, never by completion order.
 //! * Each task sees only its own index and item; tasks that need randomness
@@ -54,9 +56,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable selecting the worker count for every pool built
-/// with [`Pool::from_env`] (measurement campaigns, model fits, GA fitness,
-/// serve batch sharding). Unset or unparsable means "available
-/// parallelism"; `1` forces the sequential inline path.
+/// with [`Pool::from_env`] (measurement campaigns, the RBF and MARS fits).
+/// Unset or unparsable means "available parallelism"; `1` forces the
+/// sequential inline path. No serving request reads it.
 pub const THREADS_ENV: &str = "EMOD_THREADS";
 
 /// The worker count [`Pool::from_env`] resolves to: `EMOD_THREADS` if it
@@ -102,9 +104,11 @@ pub fn task_seed(base: u64, index: u64) -> u64 {
 
 /// A deterministic work-stealing pool: a fixed worker count and the
 /// [`Pool::map`]/[`Pool::map_with`] entry points. Creating a `Pool` is
-/// free — workers are scoped to each call, not kept alive between calls —
+/// cheap — workers are scoped to each call, not kept alive between calls —
 /// so callers construct one per batch and the `EMOD_THREADS` knob takes
-/// effect immediately.
+/// effect immediately. With `EMOD_THREADS` unset, [`Pool::from_env`] asks
+/// the OS for [`available_parallelism`], which on Linux reads cgroup files
+/// (tens of microseconds), so it belongs on millisecond stages only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,

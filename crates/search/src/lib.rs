@@ -143,37 +143,6 @@ impl GeneticSearch {
         R: Rng + ?Sized,
         F: FnMut(&[f64]) -> f64,
     {
-        self.run_with_evaluator(
-            &mut |population| population.iter().map(|p| objective(p)).collect(),
-            rng,
-        )
-    }
-
-    /// [`GeneticSearch::run`] with per-individual fitness evaluated in
-    /// parallel across `EMOD_THREADS` workers. The objective must be a pure
-    /// function of the point (hence `Fn + Sync`); under that contract the
-    /// result is bit-identical to [`GeneticSearch::run`] at any worker
-    /// count — fitness vectors come back in population order and all RNG
-    /// draws stay on the caller thread.
-    pub fn run_par<R, F>(&self, objective: F, rng: &mut R) -> SearchResult
-    where
-        R: Rng + ?Sized,
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        let pool = emod_par::Pool::from_env();
-        self.run_with_evaluator(
-            &mut |population| pool.map(population, |_i, p| objective(p)),
-            rng,
-        )
-    }
-
-    /// The GA loop, generic over how a generation's fitness vector is
-    /// produced (sequentially or on a pool).
-    fn run_with_evaluator<R: Rng + ?Sized>(
-        &self,
-        evaluate: &mut dyn FnMut(&[DesignPoint]) -> Vec<f64>,
-        rng: &mut R,
-    ) -> SearchResult {
         let _span = telemetry::span("search.ga");
         let cfg = self.config;
         let mut evaluations = 0usize;
@@ -184,7 +153,7 @@ impl GeneticSearch {
 
         for gen in 0..cfg.generations {
             let _gen_span = telemetry::span("generation");
-            let fitness = evaluate(&population);
+            let fitness: Vec<f64> = population.iter().map(|p| objective(p)).collect();
             evaluations += fitness.len();
             // Track the global best.
             for (p, &f) in population.iter().zip(&fitness) {
@@ -223,7 +192,7 @@ impl GeneticSearch {
             population = next;
         }
         // Score the final generation too.
-        let fitness = evaluate(&population);
+        let fitness: Vec<f64> = population.iter().map(|p| objective(p)).collect();
         evaluations += fitness.len();
         for (p, &f) in population.iter().zip(&fitness) {
             if best.as_ref().is_none_or(|(_, bf)| f < *bf) {
@@ -300,7 +269,7 @@ fn record_generation(gen: usize, fitness: &[f64], global_best: Option<f64>) {
 /// the parameter's levels (see [`GeneticSearch::freeze`]).
 pub fn tune_surrogate<R: Rng + ?Sized>(
     space: &ParameterSpace,
-    model: &(dyn emod_models::Regressor + Sync),
+    model: &dyn emod_models::Regressor,
     frozen: &[(&str, f64)],
     config: GaConfig,
     rng: &mut R,
@@ -309,9 +278,7 @@ pub fn tune_surrogate<R: Rng + ?Sized>(
     for &(name, value) in frozen {
         search = search.freeze(name, value);
     }
-    // Surrogate predictions are pure, so fitness fans out across
-    // `EMOD_THREADS` workers with a bit-identical result.
-    search.run_par(|raw| model.predict(&space.encode(raw)).max(1.0), rng)
+    search.run(|raw| model.predict(&space.encode(raw)).max(1.0), rng)
 }
 
 /// Pure random search baseline: evaluates `budget` random points.
@@ -534,6 +501,28 @@ mod tests {
         assert_eq!(res.point[2], 5.0, "frozen parameter must stay pinned");
         assert_eq!(res.point[3], 8.0);
         assert!(res.value >= 100.0);
+    }
+
+    #[test]
+    fn tune_surrogate_runs_inline_and_counts_every_prediction() {
+        // A `Cell` makes the model `!Sync`: the surrogate GA must accept it
+        // and call it on the caller thread, once per reported evaluation.
+        struct Counting(std::cell::Cell<usize>);
+        impl emod_models::Regressor for Counting {
+            fn predict(&self, x: &[f64]) -> f64 {
+                self.0.set(self.0.get() + 1);
+                x.iter().map(|v| (v + 0.5).powi(2)).sum()
+            }
+            fn parameter_count(&self) -> usize {
+                4
+            }
+        }
+        let model = Counting(std::cell::Cell::new(0));
+        let cfg = GaConfig::default();
+        let mut rng = StdRng::seed_from_u64(23);
+        let res = tune_surrogate(&space(), &model, &[], cfg, &mut rng);
+        assert_eq!(res.evaluations, cfg.population * (cfg.generations + 1));
+        assert_eq!(res.evaluations, model.0.get());
     }
 
     #[test]

@@ -79,10 +79,6 @@ pub const MAX_LINE_BYTES: u64 = 1 << 20;
 /// is unset.
 pub const DEFAULT_MAX_INFLIGHT: u64 = 256;
 
-/// Smallest `predict_batch` that is sharded across the `EMOD_THREADS`
-/// pool; smaller batches predict inline on the request worker.
-pub const PARALLEL_BATCH_MIN: usize = 64;
-
 /// The commands the server understands. Per-command counters and latency
 /// histograms are only created for these names, so a garbage `cmd` cannot
 /// grow the telemetry registry without bound.
@@ -926,20 +922,13 @@ fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
         }
     }
     let id = art.id();
-    // Shard large batches across the measurement pool: each prediction is a
-    // pure function of its point, so the response is bit-identical to the
-    // sequential loop at any `EMOD_THREADS`. Small batches stay inline —
-    // spawning workers costs more than the predictions themselves.
-    let pool = emod_par::Pool::from_env();
-    let predictions: Vec<Json> = if raws.len() >= PARALLEL_BATCH_MIN && pool.threads() > 1 {
-        pool.map(&raws, |_i, raw| {
-            Json::Num(art.model.predict(&art.space.encode(raw)))
-        })
-    } else {
-        raws.iter()
-            .map(|raw| Json::Num(art.model.predict(&art.space.encode(raw))))
-            .collect()
-    };
+    // Predictions run inline on the handler thread: one costs well under a
+    // microsecond, and a worker pool loses to this loop at the batch sizes
+    // clients send (DESIGN.md §11).
+    let predictions: Vec<f64> = raws
+        .iter()
+        .map(|raw| art.model.predict(&art.space.encode(raw)))
+        .collect();
     telemetry::counter_add("serve.predictions", predictions.len() as u64);
     let mut fields = vec![
         ("ok", Json::Bool(true)),
@@ -947,16 +936,13 @@ fn cmd_predict(state: &ServerState, req: &Json, batch: bool) -> Json {
         ("family", family_slug(art.meta.family).into()),
     ];
     if batch {
-        // Batch is the throughput path (sharded above): quality scoring is
-        // reserved for single predict/explain so the parallel speedup the
-        // bench gates on is not diluted by sequential sibling predicts.
+        // Batch replies carry predictions only: quality scoring (sibling
+        // predicts, extrapolation, the prediction log) stays on single
+        // predict/explain, which is the wire contract.
+        let predictions = predictions.into_iter().map(Json::Num).collect();
         fields.push(("predictions", Json::Arr(predictions)));
     } else {
-        let prediction = predictions
-            .into_iter()
-            .next()
-            .and_then(|j| j.as_f64())
-            .expect("one numeric prediction");
+        let prediction = predictions[0];
         let raw = &raws[0];
         let coded = art.space.encode(raw);
         let siblings = sibling_artifacts(registry, &art);
@@ -1635,6 +1621,75 @@ mod tests {
         let (resp, _) = handle_request(&state, "{\"cmd\":\"predict\",\"point\":[1]}");
         let msg = resp.get("error").and_then(Json::as_str).unwrap();
         assert!(msg.contains("workload"), "{}", msg);
+    }
+
+    #[test]
+    fn hundred_point_batch_matches_single_predicts_bit_for_bit() {
+        use emod_core::model::SurrogateModel;
+        use emod_models::Dataset;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let space = emod_core::vars::design_space();
+        let mut rng = StdRng::seed_from_u64(5);
+        let design = emod_doe::lhs(&space, 40, &mut rng);
+        let xs: Vec<Vec<f64>> = design.iter().map(|p| space.encode(p)).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| 4000.0 + x.iter().enumerate().map(|(i, v)| v * i as f64).sum::<f64>())
+            .collect();
+        let train = Dataset::new(xs, ys).unwrap();
+        let art = ModelArtifact {
+            meta: crate::artifact::ArtifactMeta {
+                workload: "164.gzip".into(),
+                input_set: "train".into(),
+                metric: "cycles".into(),
+                family: ModelFamily::Rbf,
+                scale: "quick".into(),
+                seed: 1,
+                train_mape: 0.0,
+                test_mape: 0.0,
+                train_size: train.len(),
+                test_size: train.len(),
+            },
+            model: SurrogateModel::fit(&train, ModelFamily::Rbf).unwrap(),
+            quality: emod_quality::DesignSummary::from_design(&train),
+            test: train.clone(),
+            train,
+            space,
+            history: Vec::new(),
+        };
+        let state = test_state("batch100");
+        state.registry.store(&art).unwrap();
+        let id = art.id();
+
+        let points: Vec<Json> = (0..100)
+            .map(|_| {
+                let raw = art.space.random_point(&mut rng);
+                Json::Arr(raw.into_iter().map(Json::Num).collect())
+            })
+            .collect();
+        let batch = format!(
+            "{{\"cmd\":\"predict_batch\",\"model\":\"{}\",\"points\":{}}}",
+            id,
+            Json::Arr(points.clone())
+        );
+        let (resp, _) = handle_request(&state, &batch);
+        let preds = resp.get("predictions").and_then(Json::as_array).unwrap();
+        assert_eq!(preds.len(), 100, "{}", resp);
+        for (i, (point, batched)) in points.iter().zip(preds).enumerate() {
+            let single = format!(
+                "{{\"cmd\":\"predict\",\"model\":\"{}\",\"point\":{}}}",
+                id, point
+            );
+            let (resp, _) = handle_request(&state, &single);
+            let want = resp.get("prediction").and_then(Json::as_f64).unwrap();
+            assert_eq!(
+                batched.as_f64().unwrap().to_bits(),
+                want.to_bits(),
+                "point {}",
+                i
+            );
+        }
     }
 
     #[test]
