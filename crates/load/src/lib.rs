@@ -16,12 +16,12 @@
 //!   alongside for comparison.
 //! * **[`report`]** — exact p50/p90/p99/p99.9 from the raw samples (the
 //!   `emod-telemetry` histograms get the same series for scraping),
-//!   throughput and error/overload rates, a summary JSON whose
+//!   throughput and error rate, a summary JSON whose
 //!   deterministic prefix is byte-identical across server thread counts,
 //!   and one-line `BENCH_HISTORY.jsonl` records for `emod-trace bench`.
 //!
-//! The `emod-load` binary wires these to a CLI with `EMOD_LOAD_*`
-//! environment defaults (docs/CONFIG.md).
+//! The `emod-load` binary wires these to a command-line interface; flags
+//! are its only configuration.
 
 #![warn(missing_docs)]
 

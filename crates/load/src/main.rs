@@ -8,14 +8,13 @@
 //!           [--bench-label NAME]
 //! ```
 //!
-//! Every knob falls back to an `EMOD_LOAD_*` environment variable (see
-//! docs/CONFIG.md), so CI jobs can pin a whole scenario in the
-//! environment and still override per invocation. `--print-schedule`
-//! emits the deterministic schedule (and its digest) without touching the
-//! network — the determinism-smoke path. `--max-error-rate X` exits 1
-//! when the measured error rate exceeds `X`. `--bench-label NAME` stamps
-//! reports/history lines with a scenario-specific `"bench"` label so a
-//! scenario's runs trend in their own series.
+//! Flags are the only configuration: no environment variable changes the
+//! schedule or its target. `--print-schedule` emits the deterministic
+//! schedule (and its digest) without touching the network — the
+//! determinism-smoke path. `--max-error-rate X` exits 1 when the measured
+//! error rate exceeds `X`. `--bench-label NAME` stamps reports/history
+//! lines with a scenario-specific `"bench"` label so a scenario's runs
+//! trend in their own series.
 
 use emod_load::{
     append_history, build_report, build_schedule, history_line, run, schedule_digest, Arrival,
@@ -35,10 +34,6 @@ struct Args {
 fn die(msg: &str) -> ! {
     eprintln!("emod-load: {}", msg);
     std::process::exit(2);
-}
-
-fn env_default(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|s| !s.trim().is_empty())
 }
 
 fn parse_f64(s: &str, name: &str) -> f64 {
@@ -65,39 +60,14 @@ fn usage() -> ! {
          \x20                [--seed N] [--arrivals fixed|poisson] [--mix SPEC]\n\
          \x20                [--workload W] [--batch N] [--timeout S] [--out FILE]\n\
          \x20                [--history FILE] [--print-schedule] [--max-error-rate X]\n\
-         \x20                [--bench-label NAME]\n\
-         \n\
-         Environment defaults: EMOD_LOAD_ADDR, EMOD_LOAD_RATE, EMOD_LOAD_DURATION_S,\n\
-         EMOD_LOAD_CONNS, EMOD_LOAD_SEED, EMOD_LOAD_ARRIVALS, EMOD_LOAD_MIX."
+         \x20                [--bench-label NAME]"
     );
     std::process::exit(0);
 }
 
 fn parse_args() -> Args {
-    let mut cfg = LoadConfig::default();
-    if let Some(v) = env_default("EMOD_LOAD_ADDR") {
-        cfg.addr = v;
-    }
-    if let Some(v) = env_default("EMOD_LOAD_RATE") {
-        cfg.rate = parse_f64(&v, "EMOD_LOAD_RATE");
-    }
-    if let Some(v) = env_default("EMOD_LOAD_DURATION_S") {
-        cfg.duration_s = parse_f64(&v, "EMOD_LOAD_DURATION_S");
-    }
-    if let Some(v) = env_default("EMOD_LOAD_CONNS") {
-        cfg.connections = parse_usize(&v, "EMOD_LOAD_CONNS");
-    }
-    if let Some(v) = env_default("EMOD_LOAD_SEED") {
-        cfg.seed = parse_u64(&v, "EMOD_LOAD_SEED");
-    }
-    if let Some(v) = env_default("EMOD_LOAD_ARRIVALS") {
-        cfg.arrival = Arrival::parse(&v).unwrap_or_else(|e| die(&e));
-    }
-    if let Some(v) = env_default("EMOD_LOAD_MIX") {
-        cfg.mix = CommandMix::parse(&v).unwrap_or_else(|e| die(&e));
-    }
     let mut args = Args {
-        cfg,
+        cfg: LoadConfig::default(),
         out: None,
         history: None,
         print_schedule: false,
@@ -189,14 +159,13 @@ fn main() {
     let num = |k: &str| measured.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
     eprintln!(
         "emod-load: {:.1} req/s  p50 {:.2}ms  p90 {:.2}ms  p99 {:.2}ms  p99.9 {:.2}ms  \
-         errors {:.1}%  overload {:.1}%",
+         errors {:.1}%",
         num("throughput_rps"),
         q("p50"),
         q("p90"),
         q("p99"),
         q("p999"),
         num("error_rate") * 100.0,
-        num("overload_rate") * 100.0,
     );
     if let Some(path) = &args.out {
         let text = emod_load::report::render_pretty(&report);

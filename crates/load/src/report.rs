@@ -79,8 +79,6 @@ fn quantiles_json(q: Option<Quantiles>) -> Json {
 pub struct Tally {
     /// `"ok": true` replies.
     pub ok: u64,
-    /// Admission-gate sheds.
-    pub overloaded: u64,
     /// Error replies plus transport failures.
     pub errors: u64,
 }
@@ -92,7 +90,6 @@ impl Tally {
         for s in samples {
             match &s.outcome {
                 Outcome::Ok => t.ok += 1,
-                Outcome::Overloaded => t.overloaded += 1,
                 Outcome::Error(_) | Outcome::Transport => t.errors += 1,
             }
         }
@@ -130,10 +127,8 @@ pub fn build_report(
         ("throughput_rps", (total / result.wall_s.max(1e-9)).into()),
         ("completed", result.samples.len().into()),
         ("ok", tally.ok.into()),
-        ("overloaded", tally.overloaded.into()),
         ("errors", tally.errors.into()),
         ("error_rate", rate(tally.errors).into()),
-        ("overload_rate", rate(tally.overloaded).into()),
         ("latency_ms", quantiles_json(quantiles_ms(&latency))),
         ("service_ms", quantiles_json(quantiles_ms(&service))),
     ]);
@@ -157,7 +152,7 @@ pub fn build_report(
 
 /// Flattens a report into the single-line record `emod-trace bench`
 /// consumes: run identity plus the trend metrics (throughput, p50/p99/
-/// p99.9, error/overload rates).
+/// p99.9, error rate).
 pub fn history_line(report: &Json) -> String {
     let m = report.get("measured");
     let num = |v: Option<&Json>| v.and_then(Json::as_f64).unwrap_or(0.0);
@@ -196,10 +191,6 @@ pub fn history_line(report: &Json) -> String {
         (
             "error_rate",
             num(m.and_then(|m| m.get("error_rate"))).into(),
-        ),
-        (
-            "overload_rate",
-            num(m.and_then(|m| m.get("overload_rate"))).into(),
         ),
     ])
     .to_string()
@@ -251,7 +242,7 @@ mod tests {
                 latency_us: 1000.0 + i as f64,
                 service_us: 500.0,
                 outcome: if i % 10 == 9 {
-                    Outcome::Overloaded
+                    Outcome::Error("internal_error".into())
                 } else {
                     Outcome::Ok
                 },

@@ -27,9 +27,7 @@ use std::time::{Duration, Instant};
 pub enum Outcome {
     /// `"ok": true` reply.
     Ok,
-    /// The admission gate shed the request (`"code": "overloaded"`).
-    Overloaded,
-    /// Any other error reply; carries the machine-readable code.
+    /// An error reply; carries the machine-readable code.
     Error(String),
     /// No parseable reply at all (refused, reset, torn mid-reply).
     Transport,
@@ -74,18 +72,12 @@ pub struct LoadResult {
 fn classify(reply: &Result<Json, String>) -> Outcome {
     match reply {
         Ok(resp) if resp.get("ok") == Some(&Json::Bool(true)) => Outcome::Ok,
-        Ok(resp) => {
-            let code = resp
-                .get("code")
+        Ok(resp) => Outcome::Error(
+            resp.get("code")
                 .and_then(Json::as_str)
                 .unwrap_or("error")
-                .to_string();
-            if code == "overloaded" {
-                Outcome::Overloaded
-            } else {
-                Outcome::Error(code)
-            }
-        }
+                .to_string(),
+        ),
         Err(_) => Outcome::Transport,
     }
 }
@@ -129,10 +121,8 @@ fn drive(
             latency_us,
         );
         telemetry::observe("load.service_us", service_us);
-        match &outcome {
-            Outcome::Ok => {}
-            Outcome::Overloaded => telemetry::counter_add("load.overloaded", 1),
-            Outcome::Error(_) | Outcome::Transport => telemetry::counter_add("load.errors", 1),
+        if !outcome.is_ok() {
+            telemetry::counter_add("load.errors", 1);
         }
         samples.push(Sample {
             index,
@@ -190,8 +180,6 @@ mod tests {
     fn classify_covers_the_reply_space() {
         let ok = Json::parse("{\"ok\":true}").unwrap();
         assert_eq!(classify(&Ok(ok)), Outcome::Ok);
-        let shed = Json::parse("{\"ok\":false,\"code\":\"overloaded\"}").unwrap();
-        assert_eq!(classify(&Ok(shed)), Outcome::Overloaded);
         let sem = Json::parse("{\"ok\":false,\"code\":\"bad_request\"}").unwrap();
         assert_eq!(classify(&Ok(sem)), Outcome::Error("bad_request".into()));
         let legacy = Json::parse("{\"ok\":false}").unwrap();

@@ -1,7 +1,7 @@
 //! Retrying client for the newline-delimited-JSON protocol.
 //!
-//! The server marks transient failures — shed load (`overloaded`), handler
-//! panics (`internal_error`), blown deadlines (`deadline_exceeded`) — with
+//! The server marks transient failures — handler panics
+//! (`internal_error`), blown deadlines (`deadline_exceeded`) — with
 //! `"retryable": true` in the error reply. [`Client::request`] retries
 //! those, and connection-level failures (refused, reset, torn mid-reply),
 //! with exponential backoff plus deterministic jitter
@@ -11,12 +11,6 @@
 //!
 //! The connection is lazy and re-established per attempt after a transport
 //! error, so a server restart between requests is invisible to the caller.
-//!
-//! Overload sheds carry a Retry-After-style `"retry_after_ms"` hint sized
-//! to how far past the admission cap the server is; the retry loop folds
-//! the hint into its next delay (it becomes the backoff floor, jitter and
-//! cap still applied) so a shedding server is not hammered on the
-//! client's optimistic local schedule.
 
 use crate::json::Json;
 use emod_faults as faults;
@@ -68,17 +62,8 @@ pub fn is_retryable(resp: &Json) -> bool {
     }
     matches!(
         resp.get("code").and_then(Json::as_str),
-        Some("overloaded" | "internal_error" | "deadline_exceeded")
+        Some("internal_error" | "deadline_exceeded")
     )
-}
-
-/// The server's Retry-After-style backoff hint on a retryable reply
-/// (`"retry_after_ms"` on `overloaded` sheds), as a duration.
-pub fn retry_after_hint(resp: &Json) -> Option<Duration> {
-    resp.get("retry_after_ms")
-        .and_then(Json::as_u64)
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
 }
 
 /// A lazily-connecting, reconnecting, retrying client.
@@ -165,27 +150,17 @@ impl Client {
         self.requests += 1;
         let seed = 0x9e37_79b9_7f4a_7c15u64 ^ self.requests;
         let mut last_err = String::new();
-        let mut retry_after: Option<Duration> = None;
         for attempt in 0..self.policy.attempts.max(1) {
             if attempt > 0 {
                 telemetry::counter_add("serve.client.retries", 1);
-                // A server-supplied Retry-After hint overrides the local
-                // schedule's floor: the backoff starts at the hinted delay
-                // (still jittered, still capped — a hint can stretch the cap
-                // so it is never silently truncated below what the server
-                // asked for).
-                let (base, max) = match retry_after.take() {
-                    Some(hint) => (hint, hint.max(self.policy.max)),
-                    None => (self.policy.base, self.policy.max),
-                };
-                let delay = faults::backoff_delay(attempt - 1, base, max, seed);
+                let delay =
+                    faults::backoff_delay(attempt - 1, self.policy.base, self.policy.max, seed);
                 std::thread::sleep(delay);
             }
             match self.send_once(line) {
                 Ok(reply) => match Json::parse(reply.trim()) {
                     Ok(resp) => {
                         if is_retryable(&resp) && attempt + 1 < self.policy.attempts {
-                            retry_after = retry_after_hint(&resp);
                             last_err = resp
                                 .get("error")
                                 .and_then(Json::as_str)
@@ -231,9 +206,9 @@ mod tests {
     fn retryable_classification() {
         let ok = Json::parse("{\"ok\":true}").unwrap();
         assert!(!is_retryable(&ok));
-        let shed =
-            Json::parse("{\"ok\":false,\"code\":\"overloaded\",\"retryable\":true}").unwrap();
-        assert!(is_retryable(&shed));
+        let panicked =
+            Json::parse("{\"ok\":false,\"code\":\"internal_error\",\"retryable\":true}").unwrap();
+        assert!(is_retryable(&panicked));
         let bad =
             Json::parse("{\"ok\":false,\"code\":\"bad_request\",\"retryable\":false}").unwrap();
         assert!(!is_retryable(&bad));
@@ -257,68 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_after_hint_extraction() {
-        let with_hint = Json::parse(
-            "{\"ok\":false,\"code\":\"overloaded\",\"retryable\":true,\"retry_after_ms\":120}",
-        )
-        .unwrap();
-        assert_eq!(
-            retry_after_hint(&with_hint),
-            Some(Duration::from_millis(120))
-        );
-        let without =
-            Json::parse("{\"ok\":false,\"code\":\"overloaded\",\"retryable\":true}").unwrap();
-        assert_eq!(retry_after_hint(&without), None);
-        // Zero and non-numeric hints are ignored rather than producing a
-        // busy-loop retry.
-        let zero = Json::parse("{\"ok\":false,\"retryable\":true,\"retry_after_ms\":0}").unwrap();
-        assert_eq!(retry_after_hint(&zero), None);
-    }
-
-    #[test]
-    fn retry_after_hint_stretches_the_backoff_delay() {
-        use std::io::{BufRead, BufReader, Write};
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            let mut line = String::new();
-            // Shed with a 120ms hint, then answer ok.
-            reader.read_line(&mut line).unwrap();
-            writeln!(
-                writer,
-                "{{\"ok\":false,\"code\":\"overloaded\",\"retryable\":true,\
-                 \"error\":\"busy\",\"retry_after_ms\":120}}"
-            )
-            .unwrap();
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            writeln!(writer, "{{\"ok\":true,\"answer\":7}}").unwrap();
-        });
-        // Local policy would retry after ~1-4ms; the server's hint must
-        // stretch the wait to at least 120ms (jitter only adds on top).
-        let mut c = Client::new(&addr).with_policy(RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(1),
-            max: Duration::from_millis(4),
-        });
-        let start = std::time::Instant::now();
-        let resp = c.request("{\"cmd\":\"health\"}").unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
-        assert!(
-            elapsed >= Duration::from_millis(100),
-            "hinted retry came back after only {:?}",
-            elapsed
-        );
-        server.join().unwrap();
-    }
-
-    #[test]
     fn client_retries_then_succeeds_against_live_listener() {
         use std::io::{BufRead, BufReader, Write};
         use std::net::TcpListener;
@@ -330,11 +243,11 @@ mod tests {
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let mut writer = stream;
             let mut line = String::new();
-            // First request: shed it. Second: answer ok.
+            // First request: a retryable failure. Second: answer ok.
             reader.read_line(&mut line).unwrap();
             writeln!(
                 writer,
-                "{{\"ok\":false,\"code\":\"overloaded\",\"retryable\":true,\"error\":\"busy\"}}"
+                "{{\"ok\":false,\"code\":\"internal_error\",\"retryable\":true,\"error\":\"boom\"}}"
             )
             .unwrap();
             line.clear();

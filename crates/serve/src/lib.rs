@@ -26,11 +26,9 @@ pub mod json;
 pub mod reactor_front;
 pub mod registry;
 pub mod server;
-pub mod slo;
 
 pub use artifact::{ArtifactError, ArtifactMeta, ModelArtifact, FORMAT_VERSION};
 pub use client::{Client, RetryPolicy};
 pub use json::Json;
 pub use registry::{GcReport, ModelRegistry, REGISTRY_ENV};
 pub use server::Server;
-pub use slo::{SloConfig, SloSnapshot, SloTracker};

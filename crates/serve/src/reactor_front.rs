@@ -5,18 +5,20 @@
 //! (epoll; Linux only), incoming bytes are decoded into request lines by
 //! [`emod_reactor::LineBuffer`], and complete requests are dispatched
 //! over an mpsc channel to the server's `--workers` handler threads,
-//! which run the request pipeline (`handle_request_full` — admission
-//! gate, fault probes, deadline, quality scoring, access log). Completed
-//! responses flow back through a shared completion queue, a
-//! [`emod_reactor::Waker`] interrupts the poll, and the event loop writes
-//! each connection's responses out **in request order** (a
-//! per-connection sequence number reorders whatever the workers finished
-//! first) from a per-connection [`emod_reactor::WriteBuffer`], so a
-//! response line reaches the socket whole, not token by token.
+//! which run the request pipeline (`handle_request_full` — fault probes,
+//! deadline, quality scoring, access log). Completed responses flow back
+//! through a shared completion queue, a [`emod_reactor::Waker`] interrupts
+//! the poll, and the event loop writes each connection's responses out
+//! **in request order** (a per-connection sequence number reorders
+//! whatever the workers finished first) from a per-connection
+//! [`emod_reactor::WriteBuffer`], so a response line reaches the socket
+//! whole, not token by token.
 //!
 //! Because no thread ever parks on a connection, thousands of mostly-idle
-//! clients cost one registration each; `--workers` bounds concurrent
-//! requests, not concurrent connections.
+//! clients cost one registration each; `--workers` bounds running
+//! requests, not concurrent connections. Requests read while every
+//! handler is busy wait in the dispatch channel, and that wait shows as
+//! `serve.queue_wait_ms` and `serve.queue_depth`.
 
 use crate::json::Json;
 use crate::server::{handle_request_full, Server, ServerState, MAX_LINE_BYTES};

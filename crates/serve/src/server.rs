@@ -18,28 +18,23 @@
 //! GA during `tune`, model loads, …) stitch into one per-request trace in
 //! the JSONL stream, and each request emits a structured `serve.access`
 //! event (connection id, command, resolved model, status, latency, bytes).
-//! `stats` reports per-command latency percentiles; `metrics` renders a
-//! flat text exposition an operator can scrape; requests slower than
-//! `EMOD_SLOW_MS` milliseconds are flagged with a `serve.slow_request`
-//! event and a log line. Each request is timestamped when the event loop
+//! `stats` reports per-command latency percentiles
+//! (`serve.latency_us.<cmd>`); `metrics` renders a flat text exposition
+//! an operator can scrape. Each request is timestamped when the event loop
 //! reads it: latency and deadlines count from that instant, and the part
 //! spent waiting for a free handler thread is reported on its own
 //! (`serve.queue_wait_ms`, a `queue_wait_ms` access-log field), next to
 //! the `serve.queue_depth` gauge of requests read but not yet answered.
-//! When `EMOD_SLO_P99_MS` / `EMOD_SLO_AVAIL` targets are set, a rolling
-//! window ([`crate::slo`]) turns recent requests into burn-rate gauges
-//! (`serve.slo.*`) and rolling per-command percentiles
-//! (`serve.rolling.*`), surfaced in `stats`, `health` and the `metrics`
-//! exposition.
 //!
-//! Resilience (see DESIGN.md §10): request lines are capped at
-//! [`MAX_LINE_BYTES`] (`request_too_large`, connection closes); handler
-//! panics are isolated per request with `catch_unwind` (`internal_error`,
-//! the worker survives); an admission gate sheds requests beyond
-//! `EMOD_MAX_INFLIGHT` with `overloaded`; requests running past
-//! `EMOD_DEADLINE_MS` answer `deadline_exceeded`. Error replies carry a
-//! machine-readable `"code"` and a `"retryable"` hint the client-side
-//! retry loop keys off. Fault probe: `serve.handle`.
+//! Resilience (see DESIGN.md §10): `--workers` bounds running requests,
+//! and a backlog behind them shows as `serve.queue_wait_ms`/
+//! `serve.queue_depth`; request lines are capped at [`MAX_LINE_BYTES`]
+//! (`request_too_large`, connection closes); handler panics are isolated
+//! per request with `catch_unwind` (`internal_error`, the worker
+//! survives); requests running past `EMOD_DEADLINE_MS` answer
+//! `deadline_exceeded`. Error replies carry a machine-readable `"code"`
+//! and a `"retryable"` hint the client-side retry loop keys off. Fault
+//! probe: `serve.handle`.
 //!
 //! Model quality (see DESIGN.md §12): every `predict`/`explain` scores how
 //! far the query extrapolates beyond the artifact's training design
@@ -52,7 +47,6 @@
 use crate::artifact::{family_from_name, family_slug, ModelArtifact, FORMAT_VERSION};
 use crate::json::Json;
 use crate::registry::ModelRegistry;
-use crate::slo::{SloConfig, SloSnapshot, SloTracker};
 use emod_compiler::OptConfig;
 use emod_core::model::ModelFamily;
 use emod_core::tune::{reference_configs, search_flags_surrogate};
@@ -64,7 +58,7 @@ use emod_telemetry as telemetry;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default port the server binds when none is given.
@@ -74,10 +68,6 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7733";
 /// `request_too_large` reply and the connection closes, instead of the
 /// server buffering an attacker-controlled amount of memory.
 pub const MAX_LINE_BYTES: u64 = 1 << 20;
-
-/// Default cap on concurrently-executing requests when `EMOD_MAX_INFLIGHT`
-/// is unset.
-pub const DEFAULT_MAX_INFLIGHT: u64 = 256;
 
 /// The commands the server understands. Per-command counters and latency
 /// histograms are only created for these names, so a garbage `cmd` cannot
@@ -95,17 +85,6 @@ const COMMANDS: &[&str] = &[
     "shutdown",
 ];
 
-/// Slow-request threshold from `EMOD_SLOW_MS` (milliseconds), read once.
-fn slow_threshold_ms() -> Option<f64> {
-    static THRESHOLD: OnceLock<Option<f64>> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("EMOD_SLOW_MS")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|t| *t >= 0.0)
-    })
-}
-
 /// Shared request-handling state: the model registry, the shutdown flag,
 /// and the operational gauges (`uptime`, in-flight requests) that `stats`,
 /// `health` and `metrics` report.
@@ -115,10 +94,8 @@ pub struct ServerState {
     shutdown: Arc<AtomicBool>,
     start: Instant,
     in_flight: AtomicU64,
-    max_inflight: u64,
     deadline_ms: Option<u64>,
     quality: Mutex<QualityState>,
-    slo: Mutex<SloTracker>,
 }
 
 /// Shadow accuracy state: recent predictions (so a later ground-truth
@@ -134,14 +111,9 @@ struct QualityState {
 impl ServerState {
     /// Creates request-handling state over `registry`, observing (and
     /// setting, for the `shutdown` command) the given shutdown flag. The
-    /// admission cap and request deadline come from `EMOD_MAX_INFLIGHT`
-    /// and `EMOD_DEADLINE_MS` (read here, once per server).
+    /// request deadline comes from `EMOD_DEADLINE_MS` (read here, once per
+    /// server).
     pub fn new(registry: Arc<ModelRegistry>, shutdown: Arc<AtomicBool>) -> ServerState {
-        let max_inflight = std::env::var("EMOD_MAX_INFLIGHT")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_MAX_INFLIGHT);
         let deadline_ms = std::env::var("EMOD_DEADLINE_MS")
             .ok()
             .and_then(|s| s.trim().parse::<u64>().ok())
@@ -152,39 +124,12 @@ impl ServerState {
             shutdown,
             start: Instant::now(),
             in_flight: AtomicU64::new(0),
-            max_inflight,
             deadline_ms,
             quality: Mutex::new(QualityState {
                 predictions: PredictionLog::new(cap),
                 shadow: ShadowRing::new(cap),
             }),
-            slo: Mutex::new(SloTracker::new(SloConfig::from_env())),
         }
-    }
-
-    /// Distills the SLO rolling window. Burn-rate and rolling-latency
-    /// gauges are published here — at scrape time — rather than per
-    /// request, so idle servers pay nothing and a scrape always sees a
-    /// self-consistent window.
-    fn slo_snapshot(&self) -> SloSnapshot {
-        let snap = telemetry::lock_or_recover(&self.slo).snapshot();
-        snap.publish_gauges();
-        snap
-    }
-
-    fn record_slo(&self, cmd: &str, latency_ms: f64, ok: bool) {
-        // Resolve to the interned command name: bounds the tracker's label
-        // set exactly like the per-command counters.
-        if let Some(name) = COMMANDS.iter().find(|c| **c == cmd) {
-            telemetry::lock_or_recover(&self.slo).record(name, latency_ms, ok);
-        }
-    }
-
-    /// Overrides the admission-gate cap (tests; production uses
-    /// `EMOD_MAX_INFLIGHT`).
-    pub fn with_max_inflight(mut self, cap: u64) -> ServerState {
-        self.max_inflight = cap.max(1);
-        self
     }
 
     /// Overrides the per-request deadline (tests; production uses
@@ -203,24 +148,6 @@ impl ServerState {
     /// Seconds since the state (i.e. the server) was created.
     pub fn uptime_s(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
-    }
-
-    fn enter_request(&self) -> u64 {
-        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        telemetry::gauge_set("serve.in_flight", now as f64);
-        now
-    }
-
-    fn leave_request(&self) {
-        let now = self.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-        telemetry::gauge_set("serve.in_flight", now as f64);
-    }
-
-    /// Whether a request should be shed by the admission gate: more than
-    /// `max_inflight` requests executing, and the command is not one of the
-    /// always-admitted operational probes (`health`, `shutdown`).
-    fn should_shed(&self, cmd: &str, in_flight_now: u64) -> bool {
-        in_flight_now > self.max_inflight && !matches!(cmd, "health" | "shutdown")
     }
 }
 
@@ -325,10 +252,10 @@ impl Server {
 
 /// An error reply with a machine-readable `code` and a `retryable` hint.
 /// Codes: `error` (request-level failure, not retryable), `bad_request`,
-/// `request_too_large`, `overloaded`, `deadline_exceeded`,
-/// `internal_error`. The client retry loop ([`crate::client`]) keys off
-/// `retryable`, so transient server-side failures (shed load, panics,
-/// deadlines) are marked and semantic errors are not.
+/// `request_too_large`, `deadline_exceeded`, `internal_error`. The client
+/// retry loop ([`crate::client`]) keys off `retryable`, so transient
+/// server-side failures (panics, deadlines) are marked and semantic
+/// errors are not.
 fn err_code_response(code: &str, msg: impl Into<String>, retryable: bool) -> Json {
     telemetry::counter_add("serve.requests.errors", 1);
     Json::obj(vec![
@@ -380,7 +307,7 @@ pub(crate) fn handle_request_full(
     // thread (GA generations during tune, artifact loads, …) nest under it.
     let root = telemetry::trace_root("serve.request");
     let start = arrived;
-    let in_flight_now = state.enter_request();
+    state.in_flight.fetch_add(1, Ordering::SeqCst);
     telemetry::counter_add("serve.requests.total", 1);
 
     let parsed = Json::parse(request);
@@ -399,37 +326,6 @@ pub(crate) fn handle_request_full(
         Err(e) => (bad_response(format!("bad request: {}", e)), false),
         Ok(_) if cmd.is_empty() => (bad_response("missing \"cmd\""), false),
         Ok(_) if !known => (bad_response(format!("unknown command {:?}", cmd)), false),
-        Ok(_) if state.should_shed(&cmd, in_flight_now) => {
-            telemetry::counter_add("serve.requests.shed", 1);
-            telemetry::event(
-                "serve",
-                "shed",
-                &[
-                    ("cmd", cmd.as_str().into()),
-                    ("in_flight", in_flight_now.into()),
-                    ("max_inflight", state.max_inflight.into()),
-                ],
-            );
-            let mut resp = err_code_response(
-                "overloaded",
-                format!(
-                    "server overloaded ({} requests in flight, cap {})",
-                    in_flight_now, state.max_inflight
-                ),
-                true,
-            );
-            // Retry-After-style backoff hint: the deeper past the cap the
-            // request landed, the longer the client should hold off. The
-            // retrying client folds this into its delay schedule.
-            let over = in_flight_now.saturating_sub(state.max_inflight);
-            if let Json::Obj(fields) = &mut resp {
-                fields.push((
-                    "retry_after_ms".to_string(),
-                    Json::from(25u64.saturating_mul(over.clamp(1, 40))),
-                ));
-            }
-            (resp, false)
-        }
         Ok(parsed) => guarded_dispatch(state, &cmd, &parsed),
     };
 
@@ -462,12 +358,6 @@ pub(crate) fn handle_request_full(
         telemetry::observe(&format!("serve.latency_us.{}", cmd), latency_us);
     }
     let status_ok = response.get("ok") == Some(&Json::Bool(true));
-    if known {
-        // Latency from arrival, including the wait for a handler thread
-        // (`queue_wait_ms`): the same instant the deadline counts from, so
-        // the SLO window sees what the client saw once its line was read.
-        state.record_slo(&cmd, latency_us / 1000.0, status_ok);
-    }
     if telemetry::enabled() {
         let trace_id = root.context().map(|c| c.trace_hex()).unwrap_or_default();
         let model = response
@@ -511,27 +401,7 @@ pub(crate) fn handle_request_full(
         }
         telemetry::event("serve", "access", &fields);
     }
-    if let Some(threshold_ms) = slow_threshold_ms() {
-        if latency_us / 1000.0 > threshold_ms {
-            telemetry::counter_add("serve.requests.slow", 1);
-            telemetry::event(
-                "serve",
-                "slow_request",
-                &[
-                    ("cmd", cmd.as_str().into()),
-                    ("latency_us", latency_us.into()),
-                    ("threshold_ms", threshold_ms.into()),
-                ],
-            );
-            eprintln!(
-                "emod-serve: slow request cmd={} took {:.1}ms (EMOD_SLOW_MS={})",
-                cmd,
-                latency_us / 1000.0,
-                threshold_ms
-            );
-        }
-    }
-    state.leave_request();
+    state.in_flight.fetch_sub(1, Ordering::SeqCst);
     (response, close)
 }
 
@@ -1170,9 +1040,6 @@ fn quantile_json(h: &telemetry::HistogramSnapshot, q: f64) -> Json {
 }
 
 fn cmd_stats(state: &ServerState) -> Json {
-    // Publish burn-rate/rolling gauges before snapshotting so this very
-    // response's `gauges` section already carries them.
-    let slo = state.slo_snapshot();
     let snap = telemetry::snapshot();
     let counters: Vec<(String, Json)> = snap
         .counters
@@ -1215,7 +1082,6 @@ fn cmd_stats(state: &ServerState) -> Json {
         ("ok", Json::Bool(true)),
         ("uptime_s", state.uptime_s().into()),
         ("in_flight", state.in_flight.load(Ordering::SeqCst).into()),
-        ("slo", slo.to_json(true)),
         ("counters", Json::Obj(counters)),
         ("gauges", Json::Obj(gauges)),
         ("histograms", Json::Obj(histograms)),
@@ -1232,7 +1098,6 @@ fn cmd_health(state: &ServerState) -> Json {
         ("uptime_s", state.uptime_s().into()),
         ("models", models.into()),
         ("in_flight", state.in_flight.load(Ordering::SeqCst).into()),
-        ("slo", state.slo_snapshot().to_json(false)),
     ])
 }
 
@@ -1276,9 +1141,6 @@ fn push_metric(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64
 /// line, Prometheus-style) from the `serve.*` slice of the telemetry
 /// registry plus the uptime/in-flight gauges.
 pub fn render_metrics(state: &ServerState) -> String {
-    // Refresh the scrape-time SLO gauges first so they land in this
-    // snapshot.
-    state.slo_snapshot();
     let snap = telemetry::snapshot();
     let mut out = String::with_capacity(1024);
     push_metric(&mut out, "emod_serve_up", &[], 1.0);
@@ -1295,7 +1157,7 @@ pub fn render_metrics(state: &ServerState) -> String {
         };
         match rest.strip_prefix("requests.") {
             Some("total") => push_metric(&mut out, "emod_serve_requests_total", &[], v as f64),
-            Some(kind @ ("errors" | "bad" | "slow")) => push_metric(
+            Some(kind @ ("errors" | "bad")) => push_metric(
                 &mut out,
                 &format!("emod_serve_requests_{}_total", kind),
                 &[],
@@ -1319,30 +1181,6 @@ pub fn render_metrics(state: &ServerState) -> String {
         let Some(rest) = name.strip_prefix("serve.") else {
             continue;
         };
-        // The in-flight gauge is rendered from server state above.
-        if rest == "in_flight" {
-            continue;
-        }
-        // Rolling per-command latency gauges get proper labels instead of
-        // a flattened name, so dashboards can select by cmd/quantile.
-        if let Some(cmd) = rest.strip_prefix("rolling.p50_ms.") {
-            push_metric(
-                &mut out,
-                "emod_serve_rolling_latency_ms",
-                &[("cmd", cmd), ("quantile", "0.5")],
-                v,
-            );
-            continue;
-        }
-        if let Some(cmd) = rest.strip_prefix("rolling.p99_ms.") {
-            push_metric(
-                &mut out,
-                "emod_serve_rolling_latency_ms",
-                &[("cmd", cmd), ("quantile", "0.99")],
-                v,
-            );
-            continue;
-        }
         push_metric(
             &mut out,
             &format!("emod_serve_{}", rest.replace('.', "_")),
@@ -1448,65 +1286,6 @@ mod tests {
         assert_eq!(resp.get("retryable"), Some(&Json::Bool(false)));
         let (resp, _) = handle_request(&state, "{\"cmd\":\"predict\"}");
         assert_eq!(resp.get("code").and_then(Json::as_str), Some("error"));
-    }
-
-    #[test]
-    fn admission_gate_sheds_above_cap_but_admits_health() {
-        let state = test_state("shed").with_max_inflight(1);
-        // Simulate a stuck concurrent request holding the only slot.
-        state.in_flight.fetch_add(1, Ordering::SeqCst);
-        let (resp, close) = handle_request(&state, "{\"cmd\":\"list_models\"}");
-        assert_eq!(resp.get("code").and_then(Json::as_str), Some("overloaded"));
-        assert_eq!(resp.get("retryable"), Some(&Json::Bool(true)));
-        assert!(!close, "shed replies keep the connection open");
-        let (resp, _) = handle_request(&state, "{\"cmd\":\"health\"}");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
-        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let (resp, _) = handle_request(&state, "{\"cmd\":\"list_models\"}");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
-    }
-
-    #[test]
-    fn stats_and_health_carry_an_slo_section() {
-        let state = test_state("slo-sections");
-        let (_, _) = handle_request(&state, "{\"cmd\":\"health\"}");
-        let (stats, _) = handle_request(&state, "{\"cmd\":\"stats\"}");
-        let slo = stats.get("slo").expect("stats has slo section");
-        assert!(slo.get("window_requests").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(slo.get("rolling").and_then(|r| r.get("health")).is_some());
-        // Without targets the burn rates are explicit nulls, not absent.
-        assert_eq!(slo.get("latency_burn"), Some(&Json::Null));
-        let (health, _) = handle_request(&state, "{\"cmd\":\"health\"}");
-        let brief = health.get("slo").expect("health has slo section");
-        assert!(brief.get("rolling").is_none(), "health slo stays brief");
-    }
-
-    #[test]
-    fn slo_window_tracks_errors_and_metrics_render_rolling_gauges() {
-        // Gauges only register when collection is on (Server::bind enables
-        // it in production; unit tests must opt in).
-        telemetry::enable();
-        let state = test_state("slo-burn");
-        for _ in 0..4 {
-            let (resp, _) = handle_request(&state, "{\"cmd\":\"list_models\"}");
-            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        }
-        let (resp, _) = handle_request(&state, "{\"cmd\":\"predict\"}");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        let (stats, _) = handle_request(&state, "{\"cmd\":\"stats\"}");
-        let slo = stats.get("slo").unwrap();
-        let n = slo.get("window_requests").and_then(Json::as_u64).unwrap();
-        let frac = slo.get("error_fraction").and_then(Json::as_f64).unwrap();
-        assert!(n >= 5);
-        assert!(frac > 0.0, "the failed predict must land in the window");
-        let text = render_metrics(&state);
-        assert!(
-            text.contains("emod_serve_rolling_latency_ms{cmd=\"predict\",quantile=\"0.99\"}"),
-            "rolling gauges missing from exposition:\n{}",
-            text
-        );
-        assert!(text.contains("emod_serve_slo_window_requests"));
-        assert!(text.contains("emod_serve_slo_error_fraction"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Fault-injection acceptance test: a live TCP server under an
 //! `EMOD_FAULTS` plan that panics a handler, fails an artifact store, and
 //! delays requests. The server must answer every non-faulted request
-//! correctly, reply `internal_error` / `overloaded` (never silently drop)
-//! to the faulted ones, survive the panic, and report the panic and shed
-//! counters through `stats`. The retrying client must absorb a one-off
-//! panic transparently.
+//! correctly, reply `internal_error` (never silently drop) to the faulted
+//! ones, survive the panic, answer a request next to a delayed one on
+//! another connection, and report the panic counter through `stats`. The
+//! retrying client must absorb a one-off panic transparently.
 //!
 //! A second test pins per-request deadlines on a pipelined connection:
 //! an injected handler delay pushes each request past its deadline.
@@ -112,7 +112,6 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
         emod_faults::FAULTS_ENV,
         "panic:serve.handle:2x,delay:serve.handle:200ms:4x,io_error:registry.store:once",
     );
-    std::env::set_var("EMOD_MAX_INFLIGHT", "1");
     assert_eq!(emod_faults::init_from_env(), Ok(true));
 
     let dir = std::env::temp_dir().join(format!("emod-serve-faults-{}", std::process::id()));
@@ -156,22 +155,15 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
     assert_eq!(resp.get("count").and_then(Json::as_u64), Some(1));
     drop(retrying); // frees its worker for the concurrent connection below
 
-    // Dispatch 4 holds the only admission slot for 200ms on a second
-    // connection; a request racing it on the first connection is shed with
-    // a structured `overloaded` reply instead of queueing or dropping.
+    // Dispatch 4 is delayed 200ms on a second connection; a request sent
+    // on the first connection meanwhile answers normally.
     let held = std::thread::spawn(move || {
         let mut c = RawClient::connect(addr);
         c.request("{\"cmd\":\"list_models\"}")
     });
     std::thread::sleep(Duration::from_millis(75));
     let resp = raw.request("{\"cmd\":\"list_models\"}");
-    assert_eq!(
-        resp.get("code").and_then(Json::as_str),
-        Some("overloaded"),
-        "{}",
-        resp
-    );
-    assert_eq!(resp.get("retryable"), Some(&Json::Bool(true)));
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
     let held_resp = held.join().unwrap();
     assert_eq!(
         held_resp.get("ok"),
@@ -190,11 +182,10 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
     assert!(resp.get("prediction").and_then(Json::as_f64).is_some());
 
-    // stats reports the panic and shed counters.
+    // stats reports the panic counter.
     let stats = raw.request("{\"cmd\":\"stats\"}");
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(counter(&stats, "serve.requests.panicked"), 2, "{}", stats);
-    assert!(counter(&stats, "serve.requests.shed") >= 1, "{}", stats);
     assert!(
         emod_telemetry::counter_value("serve.client.retries") >= 1,
         "the retrying client should have recorded its retry"
