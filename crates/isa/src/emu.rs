@@ -29,6 +29,7 @@ pub struct Retired {
 
 impl Retired {
     /// Byte address of the instruction itself (for icache modeling).
+    #[inline]
     pub fn fetch_addr(&self) -> u64 {
         self.pc as u64 * INST_BYTES
     }
@@ -111,6 +112,7 @@ impl Emulator {
     }
 
     /// Whether the program has executed `halt`.
+    #[inline]
     pub fn halted(&self) -> bool {
         self.halted
     }
@@ -157,6 +159,10 @@ impl Emulator {
     ///
     /// Returns [`EmuError::PcOutOfRange`] or [`EmuError::DivideByZero`] on
     /// architectural faults.
+    // `#[inline]` here and on the other calls `simulate_sampled` makes once
+    // per instruction from `emod-uarch`: without LTO a non-generic function
+    // is never inlined across crates (DESIGN.md §4).
+    #[inline]
     pub fn step(&mut self) -> Result<Option<Retired>, EmuError> {
         if self.halted {
             return Ok(None);

@@ -196,6 +196,7 @@ pub enum Inst {
 
 impl Inst {
     /// The functional class of the instruction.
+    #[inline]
     pub fn kind(&self) -> InstKind {
         match self {
             Inst::Alu { .. } | Inst::AluImm { .. } | Inst::LoadImm { .. } => InstKind::IntAlu,

@@ -1,6 +1,7 @@
 //! Sparse paged byte-addressable memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -23,7 +24,34 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+}
+
+/// Hashes a page number with one multiply by the 64-bit golden ratio.
+///
+/// Every load and store looks its page up, so the hash is on the
+/// per-instruction path; page numbers come from the program's own address
+/// arithmetic, so SipHash's resistance to chosen keys buys nothing here.
+/// The table picks buckets by the low bits of the hash, which after a
+/// multiply depend only on the page number's low bits: the consecutive
+/// pages of one data or stack region land in distinct buckets.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Memory {
@@ -45,13 +73,16 @@ impl Memory {
         }
     }
 
+    /// The page holding `addr`, allocated (zeroed) on first touch.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages
+            .entry(addr >> PAGE_SHIFT)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[(addr & PAGE_MASK) as usize] = value;
+        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
     }
 
     /// Reads a little-endian u64 (unaligned access allowed).
@@ -76,11 +107,7 @@ impl Memory {
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         let off = (addr & PAGE_MASK) as usize;
         if off <= PAGE_SIZE - 8 {
-            let page = self
-                .pages
-                .entry(addr >> PAGE_SHIFT)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + 8].copy_from_slice(&value.to_le_bytes());
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&value.to_le_bytes());
         } else {
             for i in 0..8 {
                 self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
@@ -108,10 +135,15 @@ impl Memory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+    /// Copies a byte slice into memory starting at `addr`, one copy per
+    /// page it touches.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let n = bytes.len().min(PAGE_SIZE - off);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&bytes[..n]);
+            addr = addr.wrapping_add(n as u64);
+            bytes = &bytes[n..];
         }
     }
 }
@@ -153,6 +185,33 @@ mod tests {
         assert_eq!(mem.read_i64(8), -42);
         mem.write_f64(16, -2.5);
         assert_eq!(mem.read_f64(16), -2.5);
+    }
+
+    #[test]
+    fn write_bytes_across_three_pages_matches_bytewise_writes() {
+        // From an unaligned start in page 4 through page 6.
+        let start = 5 * PAGE_SIZE as u64 - 37;
+        let bytes: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i * 7 % 251) as u8).collect();
+        let mut paged = Memory::new();
+        paged.write_bytes(start, &bytes);
+        let mut bytewise = Memory::new();
+        for (i, &b) in bytes.iter().enumerate() {
+            bytewise.write_u8(start + i as u64, b);
+        }
+        assert_eq!(paged.resident_pages(), 3);
+        assert_eq!(paged.resident_pages(), bytewise.resident_pages());
+        for addr in 3 * PAGE_SIZE as u64..8 * PAGE_SIZE as u64 {
+            assert_eq!(
+                paged.read_u8(addr),
+                bytewise.read_u8(addr),
+                "byte {:#x}",
+                addr
+            );
+        }
+        // Pages 3 and 7 were never written: they read zero and stay absent.
+        assert_eq!(paged.read_u64(3 * PAGE_SIZE as u64), 0);
+        assert_eq!(paged.read_u64(7 * PAGE_SIZE as u64 + 8), 0);
+        assert_eq!(paged.resident_pages(), 3);
     }
 
     #[test]

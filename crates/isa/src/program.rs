@@ -34,6 +34,7 @@ impl Program {
     }
 
     /// The instruction at `pc`, if in range.
+    #[inline]
     pub fn fetch(&self, pc: u32) -> Option<Inst> {
         self.insts.get(pc as usize).copied()
     }

@@ -1157,16 +1157,18 @@ pub fn render_metrics(state: &ServerState) -> String {
         };
         match rest.strip_prefix("requests.") {
             Some("total") => push_metric(&mut out, "emod_serve_requests_total", &[], v as f64),
-            Some(kind @ ("errors" | "bad")) => push_metric(
-                &mut out,
-                &format!("emod_serve_requests_{}_total", kind),
-                &[],
-                v as f64,
-            ),
-            Some(cmd) => push_metric(
+            Some(cmd) if COMMANDS.contains(&cmd) => push_metric(
                 &mut out,
                 "emod_serve_command_requests_total",
                 &[("cmd", cmd)],
+                v as f64,
+            ),
+            // Outcomes: errors, bad, panicked, failed, deadline_exceeded,
+            // too_large.
+            Some(outcome) => push_metric(
+                &mut out,
+                &format!("emod_serve_requests_{}_total", outcome),
+                &[],
                 v as f64,
             ),
             None => push_metric(

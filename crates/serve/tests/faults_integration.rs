@@ -3,8 +3,9 @@
 //! delays requests. The server must answer every non-faulted request
 //! correctly, reply `internal_error` (never silently drop) to the faulted
 //! ones, survive the panic, answer a request next to a delayed one on
-//! another connection, and report the panic counter through `stats`. The
-//! retrying client must absorb a one-off panic transparently.
+//! another connection, and report the panic counter through `stats` and
+//! as an outcome series in `metrics`. The retrying client must absorb a
+//! one-off panic transparently.
 //!
 //! A second test pins per-request deadlines on a pipelined connection:
 //! an injected handler delay pushes each request past its deadline.
@@ -186,6 +187,16 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
     let stats = raw.request("{\"cmd\":\"stats\"}");
     assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(counter(&stats, "serve.requests.panicked"), 2, "{}", stats);
+    // The metrics exposition names it as an outcome, not as a command.
+    let metrics = raw.request("{\"cmd\":\"metrics\"}");
+    let text = metrics.get("metrics").and_then(Json::as_str).unwrap();
+    assert!(
+        text.lines()
+            .any(|l| l == "emod_serve_requests_panicked_total 2"),
+        "{}",
+        text
+    );
+    assert!(!text.contains("cmd=\"panicked\""), "{}", text);
     assert!(
         emod_telemetry::counter_value("serve.client.retries") >= 1,
         "the retrying client should have recorded its retry"

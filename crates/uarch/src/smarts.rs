@@ -152,6 +152,10 @@ fn record_core_counters(res: &SimResult) {
 /// # Errors
 ///
 /// Propagates architectural faults and fuel exhaustion from the emulator.
+///
+/// # Panics
+///
+/// Panics if `sample.window` or `sample.interval` is zero.
 pub fn simulate_sampled(
     program: &Program,
     cfg: &UarchConfig,
@@ -159,6 +163,7 @@ pub fn simulate_sampled(
 ) -> Result<SampledResult, EmuError> {
     let _span = telemetry::span("uarch.simulate_sampled");
     let unit = sample.window * sample.interval;
+    assert!(unit > 0, "sampling window and interval must be non-zero");
     // For tiny programs, measure everything.
     let mut core = Core::new(cfg);
     let mut emu = Emulator::new(program);
@@ -175,9 +180,11 @@ pub fn simulate_sampled(
     let mut phase_start_insts = 0u64;
     let mut phase_start_energy = 0.0f64;
     let mut warm_line = u64::MAX;
+    // `executed % unit`, kept as a wrapping counter: a division per retired
+    // instruction is a visible share of functional warming.
+    let mut pos_in_unit = 0u64;
 
     while executed < sample.fuel {
-        let pos_in_unit = executed % unit;
         let detailed = pos_in_unit < detailed_span;
         if pos_in_unit == 0 {
             core.reset_timing();
@@ -203,6 +210,10 @@ pub fn simulate_sampled(
             warm(&mut core, &r, &mut warm_line);
         }
         executed += 1;
+        pos_in_unit += 1;
+        if pos_in_unit == unit {
+            pos_in_unit = 0;
+        }
         if emu.halted() {
             break;
         }

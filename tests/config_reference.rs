@@ -3,7 +3,8 @@
 //! literal in the workspace's program sources (`crates/*/src`, `src/`)
 //! must have a row, and every row must name a variable some source still
 //! reads. A removed knob cannot leave its row behind, and a new knob
-//! cannot ship undocumented.
+//! cannot ship undocumented. It also holds the intro's startup rule to the
+//! one variable that can abort startup, `EMOD_FAULTS`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -94,5 +95,33 @@ fn config_md_rows_match_the_variables_the_sources_read() {
          documented but never read: {:?}",
         undocumented,
         stale
+    );
+}
+
+/// The prose above the table: the rules that apply to every variable.
+fn intro() -> String {
+    let text = fs::read_to_string(root().join("docs/CONFIG.md")).unwrap();
+    let end = text.find("\n| Variable |").expect("the variable table");
+    text[..end].split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn config_md_intro_names_the_one_variable_that_aborts_startup() {
+    // `repro` and `emod-serve` exit 2 on a malformed fault plan (DESIGN.md
+    // §10); every other variable falls back to its default.
+    let intro = intro();
+    for claim in ["no variable can", "No variable can"] {
+        assert!(
+            !intro.contains(claim),
+            "docs/CONFIG.md's intro still says {:?} abort startup: {}",
+            claim,
+            intro
+        );
+    }
+    assert!(
+        intro.contains("`EMOD_FAULTS`") && intro.contains("exit with status 2"),
+        "docs/CONFIG.md's intro must name `EMOD_FAULTS` as the variable that \
+         aborts startup (exit with status 2): {}",
+        intro
     );
 }
