@@ -13,7 +13,7 @@
 //!
 //! [`LoadConfig::connections`] may exceed the server's `--workers` count:
 //! idle connections hold no server thread, and a request that waits for a
-//! free handler carries the wait in its latency.
+//! free serving thread carries the wait in its latency.
 
 use crate::schedule::{CommandKind, LoadConfig, ScheduledRequest};
 use emod_serve::{Client, Json, RetryPolicy};

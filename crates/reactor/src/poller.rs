@@ -1,12 +1,8 @@
-//! The readiness-notification abstraction the serving front builds on.
-
-use std::io;
-use std::os::fd::RawFd;
-use std::time::Duration;
+//! The readiness vocabulary of [`crate::EpollPoller`].
 
 /// Opaque per-registration identifier, echoed back in [`Event::token`] so
-/// the event loop can map readiness back to its connection table without
-/// trusting raw file-descriptor values (which the OS recycles).
+/// the serving front can map readiness back to its connection table
+/// without trusting raw file-descriptor values (which the OS recycles).
 pub type Token = u64;
 
 /// What readiness a registration wants to hear about.
@@ -32,7 +28,7 @@ impl Interest {
     };
 }
 
-/// One readiness notification out of [`Poller::poll`].
+/// One readiness notification out of [`crate::EpollPoller::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token the descriptor was registered under.
@@ -45,45 +41,4 @@ pub struct Event {
     /// The peer hung up or the descriptor errored; the connection should
     /// be torn down after draining whatever a final read returns.
     pub hangup: bool,
-}
-
-/// Minimal level-triggered readiness selector.
-///
-/// Implementations are level-triggered: a descriptor that stays readable
-/// keeps reporting readable on every poll until drained. That lets the
-/// event loop process a bounded amount per wakeup (fairness across
-/// connections) without losing edges.
-pub trait Poller {
-    /// Starts watching `fd` under `token` with the given interest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS registration failure (bad fd, duplicate, limits).
-    fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-
-    /// Changes the interest set of an already-registered descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS failure (e.g. the fd was never registered).
-    fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-
-    /// Stops watching `fd`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS failure; callers tearing a connection down may
-    /// ignore it (closing the fd deregisters implicitly).
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-
-    /// Blocks until at least one registered descriptor is ready or the
-    /// timeout elapses (`None` blocks indefinitely), appending readiness
-    /// into `events` (cleared first). Returns the number of events.
-    /// Spurious wakeups (zero events) are allowed; `EINTR` is retried
-    /// internally against the same deadline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates OS wait failures other than interruption.
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize>;
 }

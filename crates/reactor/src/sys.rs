@@ -11,7 +11,7 @@ pub use fallback::EpollPoller;
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use crate::poller::{Event, Interest, Poller, Token};
+    use crate::poller::{Event, Interest, Token};
     use std::io;
     use std::os::fd::RawFd;
     use std::time::{Duration, Instant};
@@ -26,6 +26,7 @@ mod linux {
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLONESHOT: u32 = 1 << 30;
 
     /// Kernel ABI for `struct epoll_event`. x86 packs it to avoid a
     /// 32/64-bit layout split; other architectures use natural alignment.
@@ -44,23 +45,24 @@ mod linux {
         fn close(fd: i32) -> i32;
     }
 
-    /// How many kernel events one `epoll_wait` call can deliver. Level
-    /// triggering means anything beyond the batch is re-reported on the
-    /// next poll, so this bounds per-wakeup work, not throughput.
-    const EVENT_BATCH: usize = 256;
-
-    /// `epoll(7)`-backed [`Poller`]. Level-triggered; one instance per
-    /// event loop (it is `Send` but not meant to be shared).
+    /// An `epoll(7)` instance whose registrations are all one-shot
+    /// (`EPOLLONESHOT`).
+    ///
+    /// Once [`EpollPoller::wait`] hands out an event for a descriptor, that
+    /// descriptor reports nothing more until [`EpollPoller::reregister`]
+    /// arms it again. Threads that share one poller therefore never get
+    /// the same descriptor at once, and the thread holding it re-arms it
+    /// when done. Readiness stays level-triggered: a descriptor that is
+    /// still ready when re-armed reports again at once, so no edge is lost.
     #[derive(Debug)]
     pub struct EpollPoller {
         epfd: RawFd,
-        buf: Vec<u64>, // raw event storage, sized for EVENT_BATCH entries
     }
 
     fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = EPOLLONESHOT;
         if interest.readable {
-            bits |= EPOLLIN;
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             bits |= EPOLLOUT;
@@ -80,10 +82,7 @@ mod linux {
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            Ok(EpollPoller {
-                epfd,
-                buf: vec![0u64; EVENT_BATCH * 2],
-            })
+            Ok(EpollPoller { epfd })
         }
 
         fn ctl(&self, op: i32, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
@@ -104,27 +103,48 @@ mod linux {
             }
             Ok(())
         }
-    }
 
-    impl Poller for EpollPoller {
-        fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        /// Starts watching `fd` under `token` with the given interest,
+        /// armed for one event.
+        ///
+        /// # Errors
+        ///
+        /// Propagates the OS registration failure (bad fd, duplicate, limits).
+        pub fn register(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        /// Sets the interest of an already-registered descriptor and arms
+        /// it for one more event.
+        ///
+        /// # Errors
+        ///
+        /// Propagates the OS failure (e.g. the fd was never registered).
+        pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        /// Stops watching `fd`.
+        ///
+        /// # Errors
+        ///
+        /// Propagates the OS failure; callers tearing a connection down may
+        /// ignore it (closing the fd deregisters implicitly).
+        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
         }
 
-        fn poll(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
+        /// Blocks until one armed descriptor is ready or the timeout
+        /// elapses (`None` blocks indefinitely), and hands out that one
+        /// event, disarming its descriptor. `Ok(None)` means the timeout
+        /// elapsed. `EINTR` is retried internally against the same
+        /// deadline. Any number of threads may wait at once; each event
+        /// goes to one of them.
+        ///
+        /// # Errors
+        ///
+        /// Propagates OS wait failures other than interruption.
+        pub fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
             let deadline = timeout.map(|t| Instant::now() + t);
             loop {
                 // Round the remaining wait *up* to whole milliseconds so a
@@ -137,32 +157,30 @@ mod linux {
                             + i32::from(left.subsec_nanos() % 1_000_000 != 0)
                     }
                 };
-                let ptr = self.buf.as_mut_ptr() as *mut EpollEvent;
-                // SAFETY: `buf` holds EVENT_BATCH*2 u64s = EVENT_BATCH*16
-                // bytes, enough for EVENT_BATCH epoll_event entries on every
-                // architecture (12 bytes packed, 16 aligned).
-                let n = unsafe { epoll_wait(self.epfd, ptr, EVENT_BATCH as i32, wait_ms) };
+                let mut ev = EpollEvent { events: 0, data: 0 };
+                // SAFETY: `ev` is one writable epoll_event and maxevents is 1,
+                // so the kernel writes at most that entry.
+                let n = unsafe { epoll_wait(self.epfd, &mut ev, 1, wait_ms) };
                 if n < 0 {
                     let err = io::Error::last_os_error();
                     if err.kind() == io::ErrorKind::Interrupted {
                         if deadline.is_some_and(|d| Instant::now() >= d) {
-                            return Ok(0);
+                            return Ok(None);
                         }
                         continue;
                     }
                     return Err(err);
                 }
-                for i in 0..n as usize {
-                    // SAFETY: the kernel wrote `n` valid entries at `ptr`.
-                    let ev = unsafe { std::ptr::read_unaligned(ptr.add(i)) };
-                    events.push(Event {
-                        token: ev.data,
-                        readable: ev.events & (EPOLLIN | EPOLLPRI | EPOLLRDHUP) != 0,
-                        writable: ev.events & EPOLLOUT != 0,
-                        hangup: ev.events & (EPOLLERR | EPOLLHUP) != 0,
-                    });
+                if n == 0 {
+                    return Ok(None);
                 }
-                return Ok(n as usize);
+                let bits = ev.events;
+                return Ok(Some(Event {
+                    token: ev.data,
+                    readable: bits & (EPOLLIN | EPOLLPRI | EPOLLRDHUP) != 0,
+                    writable: bits & EPOLLOUT != 0,
+                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
+                }));
             }
         }
     }
@@ -179,7 +197,7 @@ mod linux {
 
 #[cfg(not(target_os = "linux"))]
 mod fallback {
-    use crate::poller::{Event, Interest, Poller, Token};
+    use crate::poller::{Event, Interest, Token};
     use std::io;
     use std::os::fd::RawFd;
     use std::time::Duration;
@@ -204,26 +222,24 @@ mod fallback {
                 "emod-reactor: no readiness backend on this platform (Linux only)",
             ))
         }
-    }
 
-    impl Poller for EpollPoller {
-        fn register(&mut self, _fd: RawFd, _token: Token, _interest: Interest) -> io::Result<()> {
+        /// Unreachable: the stub cannot be constructed.
+        pub fn register(&self, _fd: RawFd, _token: Token, _interest: Interest) -> io::Result<()> {
             unreachable!("stub poller cannot be constructed")
         }
 
-        fn reregister(&mut self, _fd: RawFd, _token: Token, _interest: Interest) -> io::Result<()> {
+        /// Unreachable: the stub cannot be constructed.
+        pub fn reregister(&self, _fd: RawFd, _token: Token, _interest: Interest) -> io::Result<()> {
             unreachable!("stub poller cannot be constructed")
         }
 
-        fn deregister(&mut self, _fd: RawFd) -> io::Result<()> {
+        /// Unreachable: the stub cannot be constructed.
+        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
             unreachable!("stub poller cannot be constructed")
         }
 
-        fn poll(
-            &mut self,
-            _events: &mut Vec<Event>,
-            _timeout: Option<Duration>,
-        ) -> io::Result<usize> {
+        /// Unreachable: the stub cannot be constructed.
+        pub fn wait(&self, _timeout: Option<Duration>) -> io::Result<Option<Event>> {
             unreachable!("stub poller cannot be constructed")
         }
     }

@@ -90,11 +90,12 @@ impl Client {
     }
 
     /// Caps how long one request may block on connecting, writing, or
-    /// waiting for the reply. Without it a request to a server whose worker
-    /// pool is saturated by other persistent connections blocks forever;
-    /// with it the attempt fails (and the policy decides whether to retry).
-    /// Open-loop load drivers set this so a starved connection surfaces as
-    /// a transport error instead of wedging the whole run.
+    /// waiting for the reply. Without it a request to a stalled server (an
+    /// injected delay, or every serving thread busy with long requests)
+    /// blocks until the server answers; with it the attempt fails (and the
+    /// policy decides whether to retry). Open-loop load drivers set this so
+    /// a stalled reply surfaces as a transport error instead of wedging the
+    /// whole run.
     pub fn with_timeout(mut self, timeout: Duration) -> Client {
         self.timeout = Some(timeout);
         self

@@ -12,10 +12,10 @@
 //!   newline-delimited JSON ([`json::Json`]) with commands `list_models`,
 //!   `predict`, `predict_batch`, `explain`, `tune`, `observe`, `stats`,
 //!   `health`, `metrics` and `shutdown`. Its connection front
-//!   ([`reactor_front`], built on `emod-reactor`, DESIGN.md §16) is one
-//!   epoll event loop that multiplexes every connection onto `--workers`
-//!   handler threads and answers each connection's requests in order.
-//!   epoll makes the server Linux only.
+//!   ([`reactor_front`], built on `emod-reactor`, DESIGN.md §16) is
+//!   `--workers` threads that share one one-shot epoll poller; the thread
+//!   handed a ready connection runs its requests and answers them in
+//!   order. epoll makes the server Linux only.
 
 #![warn(missing_docs)]
 

@@ -6,9 +6,9 @@
 //! emod-serve --client [--addr HOST:PORT] [--retries N] '<json request>' [...]
 //! ```
 //!
-//! The server runs one epoll event loop over every connection and
-//! `--workers` (default 4) request-handler threads behind it; see
-//! DESIGN.md §16. It needs Linux.
+//! The server runs `--workers` (default 4) threads that share one epoll
+//! poller over every connection; the thread handed a ready connection runs
+//! its requests. See DESIGN.md §16. It needs Linux.
 //!
 //! In client mode each argument is sent as one request line and the response
 //! line is printed to stdout; the exit code is nonzero if any response does

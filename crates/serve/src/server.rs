@@ -1,13 +1,15 @@
 //! Concurrent newline-delimited-JSON prediction/tuning server.
 //!
-//! [`Server`] binds a TCP listener and runs the epoll event loop of
-//! [`crate::reactor_front`] (Linux only) over it: one thread owns every
-//! connection and hands complete request lines to `--workers` handler
-//! threads. Each request is one JSON object on one line; each response is
-//! one JSON object on one line with an `"ok"` field, written back in
-//! request order. Graceful shutdown on SIGTERM/SIGINT or the `shutdown`
-//! command: the listener closes, requests already read are answered (with
-//! a refusal once the drain has begun), and the handler threads exit.
+//! [`Server`] binds a TCP listener and serves it with the front of
+//! [`crate::reactor_front`] (Linux only): `--workers` threads share one
+//! one-shot epoll poller, and the thread handed a ready connection runs
+//! its request lines itself. Each request is one JSON object on one line;
+//! each response is one JSON object on one line with an `"ok"` field,
+//! written back in request order. Graceful shutdown on SIGTERM/SIGINT or
+//! the `shutdown` command: each thread finishes its current pass (a
+//! request it reads after the flag is set gets a refusal and its
+//! connection closes), the listener closes, and unsent replies are
+//! flushed for up to 5 s.
 //!
 //! Commands: `list_models`, `predict`, `predict_batch`, `explain`, `tune`,
 //! `observe`, `stats`, `health`, `metrics`, `shutdown` — see the README
@@ -20,18 +22,17 @@
 //! event (connection id, command, resolved model, status, latency, bytes).
 //! `stats` reports per-command latency percentiles
 //! (`serve.latency_us.<cmd>`); `metrics` renders a flat text exposition
-//! an operator can scrape. Each request is timestamped when the event loop
-//! reads it: latency and deadlines count from that instant, and the part
-//! spent waiting for a free handler thread is reported on its own
-//! (`serve.queue_wait_ms`, a `queue_wait_ms` access-log field), next to
-//! the `serve.queue_depth` gauge of requests read but not yet answered.
+//! an operator can scrape. Each request is timestamped when its bytes are
+//! read: latency and deadlines count from that instant, and the part
+//! spent waiting behind earlier lines of the same read is reported on its
+//! own (`serve.queue_wait_ms`, a `queue_wait_ms` access-log field).
 //!
-//! Resilience (see DESIGN.md §10): `--workers` bounds running requests,
-//! and a backlog behind them shows as `serve.queue_wait_ms`/
-//! `serve.queue_depth`; request lines are capped at [`MAX_LINE_BYTES`]
-//! (`request_too_large`, connection closes); handler panics are isolated
-//! per request with `catch_unwind` (`internal_error`, the worker
-//! survives); requests running past `EMOD_DEADLINE_MS` answer
+//! Resilience (see DESIGN.md §10): `--workers` bounds running requests; a
+//! backlog behind them waits unread in its socket and shows as
+//! `in_flight` reaching `--workers`; request lines are capped at
+//! [`MAX_LINE_BYTES`] (`request_too_large`, connection closes); handler
+//! panics are isolated per request with `catch_unwind` (`internal_error`,
+//! the thread survives); requests running past `EMOD_DEADLINE_MS` answer
 //! `deadline_exceeded`. Error replies carry a machine-readable `"code"`
 //! and a `"retryable"` hint the client-side retry loop keys off. Fault
 //! probe: `serve.handle`.
@@ -178,8 +179,8 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
-/// The prediction/tuning server: an epoll event loop that owns every
-/// connection, in front of `workers` request-handler threads
+/// The prediction/tuning server: `workers` threads that share one epoll
+/// poller and each run the requests of the connection they are handed
 /// ([`crate::reactor_front`], DESIGN.md §16).
 #[derive(Debug)]
 pub struct Server {
@@ -193,8 +194,8 @@ pub struct Server {
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port in tests) serving
-    /// models from `registry` with `workers` handler threads. The handler
-    /// count bounds concurrent requests, not concurrent connections.
+    /// models from `registry` with `workers` threads. The thread count
+    /// bounds concurrent requests, not concurrent connections.
     ///
     /// # Errors
     ///
@@ -234,13 +235,14 @@ impl Server {
     }
 
     /// Serves until shutdown is requested (`shutdown` command, the
-    /// [`Server::shutdown_handle`], or SIGTERM/SIGINT), then drains
-    /// in-flight requests and returns.
+    /// [`Server::shutdown_handle`], or SIGTERM/SIGINT), then flushes
+    /// unsent replies and returns.
     ///
     /// # Errors
     ///
-    /// Propagates poller setup failures (`Unsupported` off Linux) and
-    /// accept errors other than `WouldBlock`/`Interrupted`.
+    /// Propagates poller setup failures (`Unsupported` off Linux), thread
+    /// spawn failures, and accept or poll errors other than
+    /// `WouldBlock`/`Interrupted`; such an error shuts the server down.
     pub fn run(self) -> io::Result<()> {
         let mut state = ServerState::new(Arc::clone(&self.registry), Arc::clone(&self.shutdown));
         if let Some(deadline) = self.deadline_override {
@@ -289,20 +291,23 @@ fn bad_response(msg: impl Into<String>) -> Json {
 /// Handles one request line, returning the response and whether the
 /// connection should close afterwards.
 pub fn handle_request(state: &ServerState, request: &str) -> (Json, bool) {
-    handle_request_full(state, "", request, 0.0, Instant::now())
+    let (response, _, close) = handle_request_full(state, "", request, 0.0, Instant::now());
+    (response, close)
 }
 
 /// The full request pipeline with the owning connection's id, the time
-/// the request waited for a handler thread, and its arrival instant.
-/// Latency and the deadline both count from arrival, so the dispatch wait
-/// is part of every request's budget.
+/// the request waited behind earlier lines of the same read, and the
+/// instant it was read. Latency and the deadline both count from that
+/// read, so the wait is part of every request's budget. Returns the
+/// response, its serialized line (newline excluded; the access log's
+/// `bytes_out` is its length) and whether the connection should close.
 pub(crate) fn handle_request_full(
     state: &ServerState,
     conn_id: &str,
     request: &str,
     queue_wait_ms: f64,
     arrived: Instant,
-) -> (Json, bool) {
+) -> (Json, String, bool) {
     // The whole request is one trace: spans opened by the handler on this
     // thread (GA generations during tune, artifact loads, …) nest under it.
     let root = telemetry::trace_root("serve.request");
@@ -354,6 +359,7 @@ pub(crate) fn handle_request_full(
     }
 
     let latency_us = start.elapsed().as_secs_f64() * 1e6;
+    let line = response.to_string();
     if known {
         telemetry::observe(&format!("serve.latency_us.{}", cmd), latency_us);
     }
@@ -394,7 +400,7 @@ pub(crate) fn handle_request_full(
             ("latency_us", latency_us.into()),
             ("queue_wait_ms", queue_wait_ms.into()),
             ("bytes_in", request.len().into()),
-            ("bytes_out", response.to_string().len().into()),
+            ("bytes_out", line.len().into()),
         ];
         if !quality_warn.is_empty() {
             fields.push(("quality_warn", quality_warn.into()));
@@ -402,12 +408,12 @@ pub(crate) fn handle_request_full(
         telemetry::event("serve", "access", &fields);
     }
     state.in_flight.fetch_sub(1, Ordering::SeqCst);
-    (response, close)
+    (response, line, close)
 }
 
 /// [`dispatch`] behind the fault probe and a per-request `catch_unwind`:
 /// a panicking handler (a model-family bug, an injected `panic` fault)
-/// answers `internal_error` and the worker thread survives to take the
+/// answers `internal_error` and the serving thread survives to take the
 /// next request.
 fn guarded_dispatch(state: &ServerState, cmd: &str, parsed: &Json) -> (Json, bool) {
     let attempt = faults::catch_panic(|| {

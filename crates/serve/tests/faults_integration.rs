@@ -2,8 +2,8 @@
 //! `EMOD_FAULTS` plan that panics a handler, fails an artifact store, and
 //! delays requests. The server must answer every non-faulted request
 //! correctly, reply `internal_error` (never silently drop) to the faulted
-//! ones, survive the panic, answer a request next to a delayed one on
-//! another connection, and report the panic counter through `stats` and
+//! ones, survive the panic, answer a request while a delayed one on
+//! another connection is still pending, and report the panic counter through `stats` and
 //! as an outcome series in `metrics`. The retrying client must absorb a
 //! one-off panic transparently.
 //!
@@ -157,14 +157,25 @@ fn injected_faults_get_structured_replies_and_the_server_survives() {
     drop(retrying); // frees its worker for the concurrent connection below
 
     // Dispatch 4 is delayed 200ms on a second connection; a request sent
-    // on the first connection meanwhile answers normally.
+    // on the first connection meanwhile answers normally, and before the
+    // delayed one: a slow request holds only its own connection.
+    let (sent, sent_rx) = std::sync::mpsc::channel();
     let held = std::thread::spawn(move || {
         let mut c = RawClient::connect(addr);
-        c.request("{\"cmd\":\"list_models\"}")
+        c.writer.write_all(b"{\"cmd\":\"list_models\"}\n").unwrap();
+        sent.send(()).unwrap();
+        let mut line = String::new();
+        c.reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
     });
-    std::thread::sleep(Duration::from_millis(75));
+    sent_rx.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
     let resp = raw.request("{\"cmd\":\"list_models\"}");
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{}", resp);
+    assert!(
+        !held.is_finished(),
+        "the request on the first connection waited for the delayed one"
+    );
     let held_resp = held.join().unwrap();
     assert_eq!(
         held_resp.get("ok"),

@@ -1,8 +1,9 @@
 //! Wire tests for the serving front over real loopback TCP: replies
 //! byte-identical to a golden transcript, sent one request at a time and
 //! pipelined in one write; files left in a registry by the removed refresh
-//! loop changing no reply; and many open connections multiplexed onto a
-//! tiny worker pool.
+//! loop changing no reply; many open connections multiplexed onto two
+//! threads; and a client that pipelines without reading, which stops being
+//! served until it reads and then gets every reply in order.
 //!
 //! The transcript (`wire_transcript.txt`, `> request` / `< response`
 //! line pairs) holds the replies of the earlier thread-per-connection
@@ -320,4 +321,83 @@ fn reactor_multiplexes_many_connections_on_two_workers() {
 
     shutdown(addr);
     handle.join().unwrap();
+}
+
+/// The `cmd="metrics"` request count that a `metrics` reply renders, read
+/// from the raw reply line (the exposition is a JSON string, so its quotes
+/// arrive escaped).
+fn rendered_metrics_count(raw: &str) -> u64 {
+    let key = r#"emod_serve_command_requests_total{cmd=\"metrics\"} "#;
+    let at = raw
+        .find(key)
+        .unwrap_or_else(|| panic!("no metrics count in {}", raw))
+        + key.len();
+    let digits: String = raw[at..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn unsent_replies_are_bounded_and_still_arrive_in_order() {
+    // Each `metrics` reply is a few KiB, so 20,000 of them hold far more
+    // than 1 MiB plus both sockets' buffers.
+    const LINES: u64 = 20_000;
+    let dir = std::env::temp_dir().join(format!("emod-reactor-unread-{}", std::process::id()));
+    seed_registry(&dir);
+    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let (addr, handle) = spawn_server(Server::bind(registry, "127.0.0.1:0", 2).unwrap());
+
+    let mut greedy = TestClient::connect(addr);
+    let mut writer = greedy.writer.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        writer
+            .write_all("{\"cmd\":\"metrics\"}\n".repeat(LINES as usize).as_bytes())
+            .unwrap();
+    });
+
+    // Watch the server answer through a second connection until it stops.
+    // The `metrics` counter counts only this test's requests: the other
+    // tests of this binary share the process-wide counters but send none.
+    let mut watcher = TestClient::connect(addr);
+    let answered = |watcher: &mut TestClient| {
+        let stats = watcher.request("{\"cmd\":\"stats\"}");
+        stats
+            .get("counters")
+            .and_then(|c| c.get("serve.requests.metrics"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let started = std::time::Instant::now();
+    let (mut last, mut still) = (0, 0);
+    while still < 3 {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = answered(&mut watcher);
+        still = if now == last && now > 0 { still + 1 } else { 0 };
+        last = now;
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the server kept answering an unread connection: {} of {}",
+            last,
+            LINES
+        );
+    }
+    assert!(
+        last < LINES / 2,
+        "{} of {} replies were produced for a client that reads none",
+        last,
+        LINES
+    );
+
+    // Once the client reads, every reply arrives, in request order: each
+    // renders the count of `metrics` requests one higher than the last.
+    let first = rendered_metrics_count(&greedy.read_line());
+    for k in 1..LINES {
+        assert_eq!(rendered_metrics_count(&greedy.read_line()), first + k);
+    }
+    sender.join().unwrap();
+    assert_eq!(answered(&mut watcher), first + LINES - 1);
+
+    drop(greedy);
+    shutdown(addr);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
