@@ -4,6 +4,7 @@ use crate::Session;
 use emod_compiler::OptConfig;
 use emod_core::builder::ModelBuilder;
 use emod_core::interpret::{effect_report, EffectReport};
+use emod_core::measure::{BatchRetry, Metric};
 use emod_core::model::ModelFamily;
 use emod_core::tune::{self, reference_configs};
 use emod_core::vars;
@@ -413,15 +414,22 @@ fn speedup_rows(session: &mut Session, eval_set: InputSet, verbose: bool) -> Vec
                 let p = t.predicted_cycles;
                 (t, p)
             };
-            // Measure on the evaluation input (train for Fig 7, ref for
-            // Table 7), sharing the session's response caches.
-            let measurer = session.builder(w, eval_set).measurer_mut();
-            let o2 = measurer.measure_configs(&OptConfig::o2(), platform);
-            let tuned_cycles = measurer.measure_configs(&tuned.config, platform);
-            let o3 = measurer.measure_configs(&OptConfig::o3(), platform);
-            let actual = 100.0 * (o2 as f64 / tuned_cycles as f64 - 1.0);
-            let o3_speedup = 100.0 * (o2 as f64 / o3 as f64 - 1.0);
-            let predicted = 100.0 * (o2 as f64 / predicted_cycles - 1.0);
+            // Measure -O2, the tuned setting and -O3 as one batch on the
+            // evaluation input (train for Fig 7, ref for Table 7), sharing
+            // the session's response caches.
+            let configs = [OptConfig::o2(), tuned.config.clone(), OptConfig::o3()]
+                .map(|opt| (opt, platform.clone()));
+            let cycles: Vec<f64> = session
+                .builder(w, eval_set)
+                .measurer_mut()
+                .try_measure_configs_metric_batch(&configs, Metric::Cycles, &BatchRetry::single())
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|e| panic!("{}: {}", w.name(), e)))
+                .collect();
+            let (o2, tuned_cycles, o3) = (cycles[0], cycles[1], cycles[2]);
+            let actual = 100.0 * (o2 / tuned_cycles - 1.0);
+            let o3_speedup = 100.0 * (o2 / o3 - 1.0);
+            let predicted = 100.0 * (o2 / predicted_cycles - 1.0);
             if verbose {
                 println!(
                     "{:<24} {:<12} {:>10.2} {:>10.2} {:>10.2}",
@@ -456,7 +464,6 @@ fn speedup_rows(session: &mut Session, eval_set: InputSet, verbose: bool) -> Vec
 /// energy and code size — built with the same pipeline.
 pub fn ext_metrics(session: &mut Session) {
     use emod_core::builder::ModelBuilder as MB;
-    use emod_core::Metric;
     let scale = session.scale();
     println!("Extension (paper §2.2): RBF models for alternative responses");
     println!(
@@ -515,10 +522,7 @@ pub fn ablation_design(session: &mut Session) {
     let test_points = lhs(&space, 30, &mut rng);
     let measurer = session.builder(w, InputSet::Train).measurer_mut();
     let test_xs: Vec<Vec<f64>> = test_points.iter().map(|p| space.encode(p)).collect();
-    let test_ys: Vec<f64> = test_points
-        .iter()
-        .map(|p| measurer.measure(p) as f64)
-        .collect();
+    let test_ys = measurer.measure_metric_batch(&test_points, Metric::Cycles);
     println!(
         "{:<12} {:>14} {:>12}",
         "design", "log det(X'X)", "RBF err %"
@@ -527,7 +531,7 @@ pub fn ablation_design(session: &mut Session) {
         let ld = dopt.log_det(&points);
         let measurer = session.builder(w, InputSet::Train).measurer_mut();
         let xs: Vec<Vec<f64>> = points.iter().map(|p| space.encode(p)).collect();
-        let ys: Vec<f64> = points.iter().map(|p| measurer.measure(p) as f64).collect();
+        let ys = measurer.measure_metric_batch(&points, Metric::Cycles);
         let data = Dataset::new(xs, ys).unwrap();
         let model = emod_core::SurrogateModel::fit(&data, ModelFamily::Rbf).expect("fit");
         let preds = model.predict_batch(&test_xs);
