@@ -7,7 +7,6 @@
 
 pub mod analysis;
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A virtual register index, unique within one [`Function`].
@@ -658,15 +657,6 @@ impl Module {
     /// Total IR size over all functions (the unit-growth baseline).
     pub fn size(&self) -> usize {
         self.funcs.iter().map(Function::size).sum()
-    }
-
-    /// Map from function name to index.
-    pub fn func_map(&self) -> HashMap<&str, usize> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.as_str(), i))
-            .collect()
     }
 }
 

@@ -221,11 +221,6 @@ impl Checkpoint {
             }
         }
     }
-
-    /// How many appends have failed on this handle.
-    pub fn write_error_count(&self) -> u64 {
-        self.write_errors
-    }
 }
 
 #[cfg(test)]

@@ -109,14 +109,6 @@ impl SurrogateModel {
         }
     }
 
-    /// The MARS model, if that is the family (for interpretation).
-    pub fn as_mars(&self) -> Option<&Mars> {
-        match self {
-            SurrogateModel::Mars(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Serializes the model (family tag + family payload) into `w`.
     ///
     /// The encoding is bit-exact: a decoded model predicts identically to

@@ -39,11 +39,6 @@ impl ModelSpec {
         ModelSpec { interactions: true }
     }
 
-    /// Whether two-factor interaction terms are included.
-    pub fn has_interactions(&self) -> bool {
-        self.interactions
-    }
-
     /// Number of model terms for a `k`-parameter space.
     pub fn term_count(&self, space: &ParameterSpace) -> usize {
         let k = space.len();

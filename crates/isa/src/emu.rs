@@ -132,11 +132,6 @@ impl Emulator {
         self.regs[r.0 as usize]
     }
 
-    /// Reads a floating-point register.
-    pub fn freg(&self, f: crate::FReg) -> f64 {
-        self.fregs[f.0 as usize]
-    }
-
     /// The exit value (ABI return register), meaningful once halted.
     pub fn exit_value(&self) -> i64 {
         self.regs[abi::RV.0 as usize]
@@ -145,11 +140,6 @@ impl Emulator {
     /// Borrows data memory (e.g. to inspect results in tests).
     pub fn memory(&self) -> &Memory {
         &self.mem
-    }
-
-    /// Mutably borrows data memory (e.g. to patch inputs).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
     }
 
     /// Executes one instruction, returning its retirement record, or `None`

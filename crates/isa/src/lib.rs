@@ -2,9 +2,11 @@
 //!
 //! The paper compiles SPEC programs for the Alpha ISA and simulates them on
 //! SimpleScalar. This crate plays the Alpha's role: a 64-bit load/store RISC
-//! with 32 integer and 32 floating-point registers, fixed 4-byte instruction
-//! encoding (for instruction-cache modeling) and a software `prefetch`
-//! instruction (the target of `-fprefetch-loop-arrays`).
+//! with 32 integer and 32 floating-point registers, a fixed instruction size
+//! of [`INST_BYTES`] = 16 bytes (which sets the fetch addresses the
+//! instruction cache and branch predictor see, and the code-size response)
+//! and a software `prefetch` instruction (the target of
+//! `-fprefetch-loop-arrays`).
 //!
 //! * [`Inst`] — the instruction set, with dataflow metadata ([`Inst::defs`],
 //!   [`Inst::uses`], [`Inst::kind`]) shared by the compiler's scheduler and
@@ -34,7 +36,6 @@
 //! ```
 
 mod emu;
-pub mod encode;
 mod inst;
 mod mem;
 mod program;
@@ -44,12 +45,12 @@ pub use inst::{AluOp, BranchCond, FCmpOp, FReg, Inst, InstKind, Reg, RegRef};
 pub use mem::Memory;
 pub use program::{BuildError, Program, ProgramBuilder};
 
-/// Size of one encoded instruction in bytes; instruction addresses are
+/// Size of one instruction in bytes; instruction addresses are
 /// `pc * INST_BYTES`.
 ///
-/// The encoding is deliberately wide (16 bytes rather than the Alpha's 4):
+/// The size is deliberately wide (16 bytes rather than the Alpha's 4):
 /// the synthetic workloads are one-to-two orders of magnitude smaller than
-/// gcc-compiled SPEC binaries, and a wide encoding restores a realistic
+/// gcc-compiled SPEC binaries, and a wide instruction restores a realistic
 /// ratio of hot-code footprint to the Table 2 instruction-cache sizes
 /// (8–128 KiB). See DESIGN.md's substitution notes.
 pub const INST_BYTES: u64 = 16;

@@ -13,7 +13,6 @@ pub struct Program {
     insts: Vec<Inst>,
     entry: u32,
     data: Vec<(u64, Vec<u8>)>,
-    symbols: HashMap<String, u32>,
 }
 
 impl Program {
@@ -24,7 +23,6 @@ impl Program {
             insts,
             entry: 0,
             data: Vec::new(),
-            symbols: HashMap::new(),
         }
     }
 
@@ -55,16 +53,6 @@ impl Program {
         self.entry
     }
 
-    /// Sets the entry program counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is out of range.
-    pub fn set_entry(&mut self, entry: u32) {
-        assert!((entry as usize) < self.insts.len(), "entry out of range");
-        self.entry = entry;
-    }
-
     /// Initial data segments as `(base address, bytes)` pairs.
     pub fn data_segments(&self) -> &[(u64, Vec<u8>)] {
         &self.data
@@ -73,21 +61,6 @@ impl Program {
     /// Adds an initial data segment.
     pub fn add_data(&mut self, base: u64, bytes: Vec<u8>) {
         self.data.push((base, bytes));
-    }
-
-    /// Looks up a named code symbol (function entry).
-    pub fn symbol(&self, name: &str) -> Option<u32> {
-        self.symbols.get(name).copied()
-    }
-
-    /// All symbols, for diagnostics.
-    pub fn symbols(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.symbols.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Registers a named code symbol.
-    pub fn add_symbol(&mut self, name: impl Into<String>, pc: u32) {
-        self.symbols.insert(name.into(), pc);
     }
 
     /// Validates that every static control-flow target is in range.
@@ -165,7 +138,6 @@ pub struct ProgramBuilder {
     labels: HashMap<String, u32>,
     fixups: Vec<(usize, String)>,
     data: Vec<(u64, Vec<u8>)>,
-    symbols: Vec<(String, usize)>,
     entry_label: Option<String>,
 }
 
@@ -187,11 +159,9 @@ impl ProgramBuilder {
 
     /// Defines `label` at the current position.
     pub fn label(&mut self, label: impl Into<String>) {
-        let label = label.into();
         let here = self.here();
         // First definition wins; redefinitions are ignored.
-        self.labels.entry(label.clone()).or_insert(here);
-        self.symbols.push((label, self.insts.len()));
+        self.labels.entry(label.into()).or_insert(here);
     }
 
     /// Appends a conditional branch to `label`.
@@ -249,15 +219,10 @@ impl ProgramBuilder {
                 .ok_or_else(|| BuildError::UndefinedLabel(l.clone()))?,
             None => 0,
         };
-        let mut symbols = HashMap::new();
-        for (name, pc) in self.symbols {
-            symbols.insert(name, pc as u32);
-        }
         Ok(Program {
             insts,
             entry,
             data: self.data,
-            symbols,
         })
     }
 }
@@ -313,7 +278,6 @@ mod tests {
         b.entry("main");
         let p = b.build().unwrap();
         assert_eq!(p.entry(), 1);
-        assert_eq!(p.symbol("main"), Some(1));
     }
 
     #[test]

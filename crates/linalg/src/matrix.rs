@@ -128,11 +128,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

@@ -188,15 +188,6 @@ impl Client {
             last_err
         ))
     }
-
-    /// [`Client::request`] for an already-built JSON value.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::request`].
-    pub fn request_json(&mut self, req: &Json) -> Result<Json, String> {
-        self.request(&req.to_string())
-    }
 }
 
 #[cfg(test)]

@@ -30,5 +30,5 @@ pub mod server;
 pub use artifact::{ArtifactError, ArtifactMeta, ModelArtifact, FORMAT_VERSION};
 pub use client::{Client, RetryPolicy};
 pub use json::Json;
-pub use registry::{GcReport, ModelRegistry, REGISTRY_ENV};
+pub use registry::{ModelRegistry, REGISTRY_ENV};
 pub use server::Server;

@@ -7,16 +7,12 @@
 //! Corruption policy (DESIGN.md §10): an artifact that no longer decodes
 //! is **quarantined** — renamed to `<id>.emod.bad` so the evidence
 //! survives for post-mortem — never silently deleted. [`ModelRegistry::load`]
-//! quarantines on a failed decode, [`ModelRegistry::gc`] sweeps every
-//! listed artifact and reports per-file failures in a [`GcReport`],
-//! quarantined ids stay listable via [`ModelRegistry::quarantine`], and
-//! re-publishing an id clears its `.bad` copy (recovery). Fault probes:
-//! `registry.store`, `registry.load`.
+//! quarantines on a failed decode, and re-publishing an id clears its
+//! `.bad` copy (recovery). Fault probes: `registry.store`, `registry.load`.
 //!
 //! Base ids never contain `@` (see `ArtifactMeta::id`), so
-//! [`ModelRegistry::list`] and [`ModelRegistry::gc`] skip `.emod` files
-//! whose stem does, such as the version files of the removed refresh loop
-//! (DESIGN.md §15).
+//! [`ModelRegistry::list`] skips `.emod` files whose stem does, such as the
+//! version files of the removed refresh loop (DESIGN.md §15).
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use emod_faults as faults;
@@ -33,17 +29,6 @@ pub const DEFAULT_ROOT: &str = "./registry";
 
 /// File extension of artifact files (without the dot).
 pub const EXTENSION: &str = "emod";
-
-/// What a [`ModelRegistry::gc`] sweep did: which corrupt artifacts were
-/// quarantined and which moves failed (with the OS error), so callers can
-/// surface rather than swallow filesystem trouble.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct GcReport {
-    /// Ids renamed to `<id>.emod.bad` this sweep.
-    pub quarantined: Vec<String>,
-    /// `(id, error)` pairs for corrupt artifacts the sweep failed to move.
-    pub failures: Vec<(String, String)>,
-}
 
 /// A directory of persisted model artifacts with an in-process load cache.
 #[derive(Debug)]
@@ -224,61 +209,6 @@ impl ModelRegistry {
         ids.sort();
         Ok(ids)
     }
-
-    /// Ids currently quarantined (`<id>.emod.bad` files), sorted.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArtifactError::Io`] if the directory cannot be read.
-    pub fn quarantine(&self) -> Result<Vec<String>, ArtifactError> {
-        let suffix = format!(".{}.bad", EXTENSION);
-        let mut ids = Vec::new();
-        let entries = std::fs::read_dir(&self.root)
-            .map_err(|e| ArtifactError::Io(format!("read {}: {}", self.root.display(), e)))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| ArtifactError::Io(format!("read dir entry: {}", e)))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name.strip_suffix(&suffix) {
-                ids.push(id.to_string());
-            }
-        }
-        ids.sort();
-        Ok(ids)
-    }
-
-    /// Sweeps the registry, quarantining artifacts that no longer decode
-    /// (corrupt, truncated, unsupported version) to `<id>.emod.bad`.
-    /// Filesystem failures during the move are reported in the
-    /// [`GcReport`], not swallowed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArtifactError::Io`] if the directory cannot be scanned.
-    pub fn gc(&self) -> Result<GcReport, ArtifactError> {
-        let mut report = GcReport::default();
-        for id in self.list()? {
-            let path = self.path_of(&id);
-            let decodes = std::fs::read(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|bytes| {
-                    ModelArtifact::from_bytes(&bytes)
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                });
-            if let Err(reason) = decodes {
-                telemetry::write_or_recover(&self.cache).remove(&id);
-                match self.quarantine_file(&id, &path, &reason) {
-                    Ok(()) => {
-                        telemetry::counter_add("serve.registry.gc_removed", 1);
-                        report.quarantined.push(id);
-                    }
-                    Err(e) => report.failures.push((id, e)),
-                }
-            }
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -342,6 +272,8 @@ mod tests {
         let art = artifact(1);
         let path = reg.store(&art).unwrap();
         assert!(path.is_file());
+        // A stem with `@` is not an artifact id and is never listed.
+        std::fs::write(dir.join(format!("{}@v1.emod", art.id())), b"garbage").unwrap();
         assert_eq!(reg.list().unwrap(), vec![art.id()]);
         assert!(reg.contains(&art.id()));
         let loaded = reg.load(&art.id()).unwrap();
@@ -365,26 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_quarantines_corrupt_artifacts_only() {
-        let (dir, reg) = temp_registry();
-        let good = artifact(3);
-        reg.store(&good).unwrap();
-        std::fs::write(dir.join("broken.emod"), b"garbage").unwrap();
-        // A stem with `@` is not an artifact id: never listed or swept.
-        let leftover = dir.join(format!("{}@v1.emod", good.id()));
-        std::fs::write(&leftover, b"garbage").unwrap();
-        let report = reg.gc().unwrap();
-        assert_eq!(report.quarantined, vec!["broken".to_string()]);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(reg.list().unwrap(), vec![good.id()]);
-        assert!(leftover.is_file());
-        // The bytes survive under .bad and the id stays listable.
-        assert!(dir.join("broken.emod.bad").is_file());
-        assert_eq!(reg.quarantine().unwrap(), vec!["broken".to_string()]);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
     fn corrupt_load_quarantines_and_republish_recovers() {
         let (dir, reg) = temp_registry();
         let art = artifact(4);
@@ -395,10 +307,13 @@ mod tests {
         let reg2 = ModelRegistry::open(&dir).unwrap();
         assert!(reg2.load(&art.id()).is_err());
         assert!(!path.is_file(), "corrupt file moved aside");
-        assert_eq!(reg2.quarantine().unwrap(), vec![art.id()]);
+        // The bytes survive under `.bad` for post-mortem.
+        let bad = dir.join(format!("{}.emod.bad", art.id()));
+        assert_eq!(std::fs::read(&bad).unwrap(), b"not an artifact");
+        assert!(reg2.list().unwrap().is_empty(), "a .bad file is not listed");
         // Re-publishing the id clears the quarantined copy.
         reg2.store(&art).unwrap();
-        assert!(reg2.quarantine().unwrap().is_empty());
+        assert!(!bad.exists());
         assert_eq!(reg2.load(&art.id()).unwrap().meta, art.meta);
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -96,8 +96,9 @@ impl BranchPredictor {
         }
     }
 
-    /// Instruction-granular key: strip the encoding's byte offset so table
-    /// index bits are not wasted on constant-zero address bits.
+    /// Instruction-granular key: strip the byte offset within an
+    /// instruction so table index bits are not wasted on constant-zero
+    /// address bits.
     fn pc_key(pc: u64) -> u64 {
         pc >> emod_isa::INST_BYTES.trailing_zeros()
     }

@@ -27,7 +27,6 @@ pub struct MemSys {
     dl1_latency: u32,
     ul2_latency: u32,
     mem_latency: u32,
-    accesses: u64,
 }
 
 impl MemSys {
@@ -40,13 +39,11 @@ impl MemSys {
             dl1_latency: cfg.dl1_latency,
             ul2_latency: cfg.ul2_latency,
             mem_latency: cfg.mem_latency,
-            accesses: 0,
         }
     }
 
     /// Performs a timed access and returns its latency in cycles.
     pub fn access(&mut self, kind: AccessKind, addr: u64) -> u64 {
-        self.accesses += 1;
         match kind {
             AccessKind::Fetch => {
                 if self.il1.access(addr) {
@@ -89,11 +86,6 @@ impl MemSys {
     /// L2 statistics.
     pub fn ul2_stats(&self) -> CacheStats {
         self.ul2.stats()
-    }
-
-    /// Total accesses (all kinds).
-    pub fn access_count(&self) -> u64 {
-        self.accesses
     }
 
     /// Resets statistics, keeping cache state.
